@@ -1,7 +1,7 @@
 # Developer entry points; CI runs the same commands (see
 # .github/workflows/ci.yml and scripts/lint.sh).
 
-.PHONY: build test race lint lint-fast fuzz-smoke
+.PHONY: build test race lint lint-fast fuzz-smoke pipebench
 
 build:
 	go build ./...
@@ -11,6 +11,11 @@ test:
 
 race:
 	go test -race ./...
+
+# The pipeline benchmark is its own Go module (replace ../), so ./... above
+# does not reach it; this keeps it building against the repo's APIs.
+pipebench:
+	cd pipebench && go vet ./... && go test ./...
 
 # Full lint: gofmt, go vet, sqlmlvet, pinned staticcheck + govulncheck.
 lint:

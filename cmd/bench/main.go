@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"sqlml/internal/experiments"
-	"sqlml/internal/row"
 	"sqlml/internal/stream"
 )
 
@@ -172,15 +171,6 @@ func runAblations(experiments.Scale) error {
 		}
 		report("buffer size", fmt.Sprintf("%dKB", size>>10), rep)
 	}
-	{
-		cfg := experiments.DefaultTransfer()
-		cfg.Proto = row.WireProtoRow
-		rep, err := experiments.RunTransfer(cfg)
-		if err != nil {
-			return err
-		}
-		report("block framing", "v1 per-row frames", rep)
-	}
 	for _, blockRows := range []int{64, 1024, 4096} {
 		cfg := experiments.DefaultTransfer()
 		cfg.BlockRows = blockRows
@@ -190,26 +180,18 @@ func runAblations(experiments.Scale) error {
 		}
 		report("block framing", fmt.Sprintf("block=%d rows", blockRows), rep)
 	}
-	{
-		type wireVariant struct {
-			name       string
-			proto      int
-			noCompress bool
+	for _, noCompress := range []bool{false, true} {
+		cfg := experiments.DefaultTransfer()
+		cfg.DisableCompression = noCompress
+		variant := "v3 columnar"
+		if noCompress {
+			variant = "v3 columnar, raw vectors"
 		}
-		for _, v := range []wireVariant{
-			{"v2 row blocks", row.WireProtoBlock, false},
-			{"v3 columnar", row.WireProtoCol, false},
-			{"v3 columnar, raw vectors", row.WireProtoCol, true},
-		} {
-			cfg := experiments.DefaultTransfer()
-			cfg.Proto = v.proto
-			cfg.DisableCompression = v.noCompress
-			rep, err := experiments.RunTransfer(cfg)
-			if err != nil {
-				return err
-			}
-			report("wire format", v.name, rep)
+		rep, err := experiments.RunTransfer(cfg)
+		if err != nil {
+			return err
 		}
+		report("wire format", variant, rep)
 	}
 	for _, colocate := range []bool{true, false} {
 		cfg := experiments.DefaultTransfer()

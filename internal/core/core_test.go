@@ -411,3 +411,34 @@ func TestScaledPipelineIdenticalAcrossApproaches(t *testing.T) {
 		}
 	}
 }
+
+// TestStagingRemovedAfterRun runs the two DFS-staged approaches several
+// times, plus a naive run that fails after staging its export: every run
+// must delete its staging files once ML has ingested them (or the
+// pipeline failed), so neither /staging nor the datanodes' stored bytes
+// grow across runs.
+func TestStagingRemovedAfterRun(t *testing.T) {
+	env := newTestEnv(t, 60, 8, nil)
+	used := env.FS.TotalUsed()
+	for i := 0; i < 3; i++ {
+		for _, a := range []Approach{Naive, InSQL} {
+			if _, err := Run(env, a, paperConfig()); err != nil {
+				t.Fatalf("%s run %d: %v", a, i, err)
+			}
+			if left := env.FS.List("/staging"); len(left) != 0 {
+				t.Fatalf("%s run %d left %d staging files, e.g. %s", a, i, len(left), left[0])
+			}
+		}
+	}
+	bad := paperConfig()
+	bad.Spec.RecodeCols = []string{"no_such_column"}
+	if _, err := Run(env, Naive, bad); err == nil {
+		t.Fatal("naive run with an unknown recode column succeeded")
+	}
+	if left := env.FS.List("/staging"); len(left) != 0 {
+		t.Fatalf("failed naive run left %d staging files, e.g. %s", len(left), left[0])
+	}
+	if got := env.FS.TotalUsed(); got != used {
+		t.Fatalf("DFS stores %d bytes after the runs, %d before", got, used)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -146,14 +147,36 @@ func mlOptions(env *Env, cfg PipelineConfig) ml.IngestOptions {
 	}
 }
 
+// removeStaging deletes every DFS file under a pipeline's staging
+// directory. Runs call it once ml.Ingest has returned (or the pipeline
+// failed), so repeated runs do not accumulate dead intermediate files.
+func removeStaging(env *Env, dir string) error {
+	var errs []error
+	for _, p := range env.FS.List(dir) {
+		if err := env.FS.Delete(p); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("core: remove staging %s: %w", dir, err)
+	}
+	return nil
+}
+
 // runNaive is Figure 3's first bar: materialise the SQL result on the DFS,
 // transform it with the external Jaql tool (two MapReduce jobs, another
 // DFS round trip), then have ML read the DFS.
-func runNaive(env *Env, cfg PipelineConfig) (*RunResult, error) {
+func runNaive(env *Env, cfg PipelineConfig) (result *RunResult, err error) {
 	seq := pipelineSeq.Add(1)
 	stagingDir := fmt.Sprintf("/staging/naive-%d", seq)
 	prepDir := stagingDir + "/prep"
 	outDir := stagingDir + "/transformed"
+	defer func() {
+		// A delete failure joins the pipeline's own error, never masks it.
+		if derr := removeStaging(env, stagingDir); derr != nil {
+			result, err = nil, errors.Join(err, derr)
+		}
+	}()
 
 	start := time.Now()
 	// Even the naive approach pipelines query → DFS writer inside the
@@ -322,9 +345,16 @@ func prepareTransformed(env *Env, cfg PipelineConfig) (out *transform.Output, hi
 // runInSQL is Figure 3's middle bar: query and transformation pipeline
 // inside the SQL engine, the transformed result is materialised on the DFS
 // once, and ML reads it from there.
-func runInSQL(env *Env, cfg PipelineConfig) (*RunResult, error) {
+func runInSQL(env *Env, cfg PipelineConfig) (result *RunResult, err error) {
 	seq := pipelineSeq.Add(1)
-	outDir := fmt.Sprintf("/staging/insql-%d/transformed", seq)
+	stagingDir := fmt.Sprintf("/staging/insql-%d", seq)
+	outDir := stagingDir + "/transformed"
+	defer func() {
+		// A delete failure joins the pipeline's own error, never masks it.
+		if derr := removeStaging(env, stagingDir); derr != nil {
+			result, err = nil, errors.Join(err, derr)
+		}
+	}()
 
 	start := time.Now()
 	out, hit, cleanup, err := prepareTransformed(env, cfg)

@@ -22,13 +22,11 @@ type TransferConfig struct {
 	RowsPerWork int
 	BufferSize  int
 	QueueFrames int
-	// BlockRows caps rows per wire block (0 means the sender default);
-	// Proto pins the wire-format version (0 means latest) — together the
-	// block-framing ablation knobs. DisableCompression turns off v3's
-	// per-column encodings (columnar frames, raw vectors), isolating the
-	// compression axis of the v2-vs-v3 grid.
+	// BlockRows caps rows per wire block (0 means the sender default), the
+	// block-framing ablation knob. DisableCompression turns off the
+	// per-column encodings (columnar frames, raw vectors), the compression
+	// axis of the wire ablation.
 	BlockRows          int
-	Proto              int
 	DisableCompression bool
 	ConsumeDelay       time.Duration
 	// Colocate places ML workers on the SQL workers' nodes (the
@@ -61,8 +59,8 @@ type TransferReport struct {
 	NetBytes     int64
 	SpilledBytes int64
 	Restarts     int
-	// RawBytes/WireBytes mirror SenderStats: the v2-equivalent size of the
-	// delivered rows vs the bytes actually framed — the compression ratio.
+	// RawBytes/WireBytes mirror SenderStats: the uncompressed size of the
+	// delivered frames vs the bytes actually sent — the compression ratio.
 	RawBytes  int64
 	WireBytes int64
 	Wall      time.Duration
@@ -129,7 +127,6 @@ func RunTransfer(cfg TransferConfig) (*TransferReport, error) {
 	senderCfg.BufferSize = cfg.BufferSize
 	senderCfg.QueueFrames = cfg.QueueFrames
 	senderCfg.BlockRows = cfg.BlockRows
-	senderCfg.Proto = cfg.Proto
 	senderCfg.DisableCompression = cfg.DisableCompression
 	senderCfg.MaxRestarts = 8
 	if cfg.ConsumeDelay > 0 {

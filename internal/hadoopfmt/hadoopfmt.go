@@ -52,8 +52,8 @@ type BatchRecordReader interface {
 }
 
 // ColBatchRecordReader is a further optional extension: readers whose
-// transfer unit is already column-major (the v3 columnar wire frames of
-// the streaming transfer) materialize it straight into a ColBatch, so a
+// transfer unit is already column-major (every wire frame of the
+// streaming transfer) materialize it straight into a ColBatch, so a
 // columnar consumer ingests without ever constructing a row. NextColBatch
 // resets and fills dst (the reader knows its own schema) and returns the
 // row count; ok is false at the end of the split. Calls interleave freely

@@ -44,22 +44,25 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestWriterReaderStream writes a stream of block frames, NULLs and
+// empty strings included, and reads it back row by row.
 func TestWriterReaderStream(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	types := []Type{TypeInt, TypeString, TypeFloat, TypeBool}
 	rows := []Row{
 		{Int(1), String_("a"), Float(1.5), Bool(true)},
 		{Int(2), NullOf(TypeString), Float(-2.5), Bool(false)},
 		{NullOf(TypeInt), String_(""), NullOf(TypeFloat), NullOf(TypeBool)},
 	}
-	for _, r := range rows {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
+	var buf bytes.Buffer
+	var enc BlockEncoder
+	enc.EnableColumnar(types, true)
+	for i, r := range rows {
+		enc.Append(r)
+		if i == 0 {
+			buf.Write(enc.Finish())
 		}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(enc.Finish())
 	rd := NewReader(&buf)
 	for i, want := range rows {
 		got, err := rd.Read()
@@ -77,7 +80,7 @@ func TestWriterReaderStream(t *testing.T) {
 
 func TestReaderRejectsOversizedFrame(t *testing.T) {
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(MaxFrameSize+1))
+	binary.LittleEndian.PutUint32(hdr[:], blockFlag|uint32(MaxBlockSize+1))
 	rd := NewReader(bytes.NewReader(hdr[:]))
 	if _, err := rd.Read(); err == nil {
 		t.Error("oversized frame accepted")
@@ -85,7 +88,7 @@ func TestReaderRejectsOversizedFrame(t *testing.T) {
 }
 
 func TestReaderTruncatedBody(t *testing.T) {
-	enc := AppendBinary(nil, Row{String_("hello world")})
+	enc := encodeBlock(blockRows(3, 0))
 	rd := NewReader(bytes.NewReader(enc[:len(enc)-3]))
 	if _, err := rd.Read(); err == nil {
 		t.Error("truncated body accepted")
@@ -128,13 +131,16 @@ func TestSchemaThenRowsOnOneStream(t *testing.T) {
 	if err := WriteSchema(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	w := NewWriter(&buf)
+	var enc BlockEncoder
+	enc.EnableColumnar(SchemaTypes(s), true)
 	for i := 0; i < 100; i++ {
-		if err := w.Write(Row{Int(int64(i)), Float(float64(i) / 2)}); err != nil {
-			t.Fatal(err)
+		enc.Append(Row{Int(int64(i)), Float(float64(i) / 2)})
+		if enc.Rows() == 32 {
+			buf.Write(enc.Finish())
 		}
 	}
-	if err := w.Flush(); err != nil {
+	buf.Write(enc.Finish())
+	if err := WriteEOS(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,6 +149,7 @@ func TestSchemaThenRowsOnOneStream(t *testing.T) {
 		t.Fatalf("schema: %v %v", got, err)
 	}
 	rd := NewReader(&buf)
+	rd.RequireEOS()
 	n := 0
 	for {
 		r, err := rd.Read()

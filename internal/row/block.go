@@ -1,60 +1,50 @@
 package row
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 )
 
-// Block frames amortize the per-row costs of the streaming transfer: one
-// length word, one channel hand-off, one spool entry, and one disk write
-// cover ~BlockTargetRows rows instead of one. The wire stays
-// self-describing — a stream may interleave v1 single-row frames and v2
-// block frames, and Reader decodes both — while the coordinator handshake
-// (see internal/stream) lets mixed-version deployments pin a job to v1.
+// The streaming transfer's wire (paper §3). After the schema header
+// (WriteSchema), a stream is a sequence of block frames, each carrying
+// ~BlockTargetRows rows column-major in the v3 columnar layout
+// (colblock.go), and ends with the explicit end-of-stream frame (WriteEOS).
+// Block frames amortize the per-row costs of the transfer: one length
+// word, one channel hand-off, one spool entry, and one disk write cover a
+// whole block instead of one row.
 //
-// Block frame layout (all little-endian):
+// Every frame opens with
 //
-//	uint32  blockFlag | n   (top bit set marks a block frame; the low 31
+//	uint32  blockFlag | n   (the top bit marks a block frame; the low 31
 //	                         bits are the byte count that follows this word)
-//	uint8   version         (WireProtoBlock)
-//	uint8   flags           (reserved, 0)
-//	uint32  row count
-//	payload: row count × (uint32 body length + body), the same per-row
-//	         body encoding as a v1 frame
+//	uint8   version         (WireProtoCol)
 //
-// The flag bit cannot collide with a v1 frame: v1 lengths are bounded by
-// MaxFrameSize (2^26), far below the 2^31 flag bit.
+// and every decoder checks both: a length word without the flag (the
+// retired v1 per-row frames) or another version byte (the retired v2 row
+// blocks) is rejected with an error naming the unsupported frame.
 
 const (
-	// WireProtoRow is the original one-frame-per-row wire format.
-	WireProtoRow = 1
-	// WireProtoBlock is the multi-row block-frame wire format.
-	WireProtoBlock = 2
-	// WireProtoLatest is what senders and readers advertise by default —
-	// the columnar v3 format (WireProtoCol, colblock.go).
-	WireProtoLatest = WireProtoCol
-
 	blockFlag = uint32(1) << 31
-	// blockTailLen is the header part covered by the length word:
-	// version(1) + flags(1) + rowCount(4).
-	blockTailLen = 6
-	// blockHeaderLen is the full block frame header.
-	blockHeaderLen = 4 + blockTailLen
 
 	// BlockTargetRows and BlockTargetBytes are the default flush budgets:
 	// a block is emitted when it reaches either. The row budget IS the
 	// engine's batch granularity (DefaultBatchSize), so one pipeline batch
 	// fills exactly one wire block; ~64 KB keeps a block inside a few
-	// socket buffers.
+	// socket buffers. The byte budget is counted in uncompressed v3 bytes
+	// (BlockEncoder.Len).
 	BlockTargetRows  = DefaultBatchSize
 	BlockTargetBytes = 64 << 10
 )
 
 // MaxBlockSize bounds one block frame, guarding corrupt length words.
 const MaxBlockSize = 128 << 20
+
+// MaxFrameSize bounds the stream's schema header, guarding a corrupt
+// length prefix.
+const MaxFrameSize = 64 << 20
 
 // blockBufPool recycles block buffers across frames. Buffers are handed
 // out by NewBlockBuffer and returned by RecycleBlockBuffer once the frame
@@ -74,8 +64,7 @@ func NewBlockBuffer() []byte {
 
 // RecycleBlockBuffer returns a buffer obtained from NewBlockBuffer (or a
 // finished block frame built on one) to the pool. The caller must not
-// touch the slice afterwards. Undersized buffers (e.g. ad-hoc v1 row
-// frames that flow through the same code path) are dropped rather than
+// touch the slice afterwards. Undersized buffers are dropped rather than
 // pooled, so the pool only ever hands out block-capacity buffers.
 func RecycleBlockBuffer(b []byte) {
 	if cap(b) < BlockTargetBytes {
@@ -84,401 +73,456 @@ func RecycleBlockBuffer(b []byte) {
 	blockBufPool.Put(&b)
 }
 
-// IsBlockFrame reports whether frame starts a v2 block frame (as opposed
-// to a v1 single-row frame).
-func IsBlockFrame(frame []byte) bool {
-	return len(frame) >= 4 && binary.LittleEndian.Uint32(frame)&blockFlag != 0
+// frameLen validates a frame's length word and returns the byte count
+// that follows it.
+func frameLen(word uint32) (int, error) {
+	if word&blockFlag == 0 {
+		return 0, fmt.Errorf("row: unsupported v1 row frame (length word %#x lacks the block flag)", word)
+	}
+	n := int(word &^ blockFlag)
+	if n == 0 || n > MaxBlockSize {
+		return 0, fmt.Errorf("row: bad block frame length %d", n)
+	}
+	return n, nil
 }
 
-// BlockEncoder packs rows into one block frame built on a pooled buffer.
-// Append rows until Rows()/Len() hit the caller's budget, then Finish to
-// take the frame; the encoder detaches and starts the next block lazily.
-//
-// EnableColumnar switches the encoder to v3 output: appends stage into a
-// column-major ColBatch instead of encoding bytes row by row, and Finish
-// emits one columnar frame (AppendColBlock). In that mode Len() is the
-// v2-equivalent byte size of the staged rows — the same flush-budget
-// currency as before, computed without encoding — and RawBytes() exposes
-// it for the sender's compression-ratio accounting.
+// BlockEncoder stages rows column-major and packs them into one v3 block
+// frame built on a pooled buffer. EnableColumnar sets the column types and
+// must come first; append rows until Rows()/Len() hit the caller's budget,
+// then Finish to take the frame and start the next block.
 type BlockEncoder struct {
-	buf  []byte
-	rows int
-
-	// columnar (v3) staging
-	colMode  bool
 	compress bool
-	colTypes []Type
-	col      *ColBatch
-	rawBytes int
+	types    []Type
+	col      *ColBatch // staged rows; nil until EnableColumnar
+
+	// fixed is the uncompressed frame size of zero rows: length word,
+	// header and the per-column section headers. rowBytes is the raw size
+	// of one row's fixed-width slots; strBytes sums the raw size of every
+	// staged VARCHAR slot.
+	fixed, rowBytes, strBytes int
 }
 
-// EnableColumnar switches the encoder to columnar v3 frames over the
-// given column types. With compress false every column keeps its raw
-// encoding (the ablation grid's uncompressed arm). Must be called before
-// the first append.
+// EnableColumnar initialises the encoder for the given column types,
+// discarding anything staged. With compress false every column keeps its
+// raw encoding (the ablation grid's uncompressed arm). An append before
+// the first call panics.
 func (e *BlockEncoder) EnableColumnar(types []Type, compress bool) {
-	e.colMode, e.compress, e.colTypes = true, compress, types
+	e.compress, e.types = compress, types
+	e.col = NewColBatch(types)
+	e.fixed = 4 + colTailLen + colSectionLen*len(types)
+	e.rowBytes, e.strBytes = 0, 0
+	for _, t := range types {
+		switch t {
+		case TypeInt, TypeFloat:
+			e.rowBytes += 8
+		case TypeBool:
+			e.rowBytes++
+		}
+	}
 }
 
-// staging returns the columnar staging batch, creating it on first use.
-// The batch is plain (not pooled): it lives for the whole transfer and
-// recycles its own vector capacity across Finish calls.
+// staging returns the batch appends land in.
 func (e *BlockEncoder) staging() *ColBatch {
 	if e.col == nil {
-		e.col = NewColBatch(e.colTypes)
+		panic("row: BlockEncoder append before EnableColumnar")
 	}
 	return e.col
 }
 
-// Append encodes one row into the current block.
-func (e *BlockEncoder) Append(r Row) {
-	if e.colMode {
-		e.staging().AppendRow(r)
-		if e.rows == 0 {
-			e.rawBytes = blockHeaderLen
-		}
-		e.rawBytes += 4
-		for _, v := range r {
-			e.rawBytes += v2CellSize(v.Kind, v.Null, len(v.s))
-		}
-		e.rows++
-		return
-	}
-	if e.buf == nil {
-		e.buf = append(NewBlockBuffer(), make([]byte, blockHeaderLen)...)
-	}
-	e.buf = AppendBinary(e.buf, r)
-	e.rows++
-}
-
-// v2CellSize is the wire cost of one value in the v1/v2 row encoding:
-// the tag byte plus the type's payload. It prices the columnar staging
-// in the same currency as the row encoders, so flush budgets and the
-// raw-vs-wire stats compare like with like.
-func v2CellSize(t Type, null bool, strLen int) int {
-	if null {
-		return 1
-	}
-	switch t {
-	case TypeString:
-		return 5 + strLen
-	case TypeBool:
-		return 2
-	default:
-		return 9
-	}
-}
-
-// AppendBatchRow encodes physical row p of a column-major batch into the
-// current block, byte-identical to Append of the materialized row but
-// straight off the vectors — the sender's columnar fast path, skipping the
-// per-row Value materialization entirely.
-func (e *BlockEncoder) AppendBatchRow(b *ColBatch, p int) {
-	if e.colMode {
-		st := e.staging()
-		if e.rows == 0 {
-			e.rawBytes = blockHeaderLen
-		}
-		e.rawBytes += 4
-		for c := 0; c < b.NumCols(); c++ {
-			col := b.Col(c)
-			st.Col(c).AppendFrom(col, p)
-			strLen := 0
-			if col.Type() == TypeString && !col.Null(p) {
-				strLen = len(col.Bytes(p))
-			}
-			e.rawBytes += v2CellSize(col.Type(), col.Null(p), strLen)
-		}
-		st.SetFullLen(st.FullLen() + 1)
-		e.rows++
-		return
-	}
-	if e.buf == nil {
-		e.buf = append(NewBlockBuffer(), make([]byte, blockHeaderLen)...)
-	}
-	dst := e.buf
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	for c := 0; c < b.NumCols(); c++ {
-		col := b.Col(c)
-		if col.Null(p) {
-			dst = append(dst, byte(tagNullBase+int(col.typ)))
+// countStrings adds the raw size of the VARCHAR slots staged from
+// physical row `from` on.
+func (e *BlockEncoder) countStrings(from int) {
+	for c, t := range e.types {
+		if t != TypeString {
 			continue
 		}
-		switch col.typ {
-		case TypeInt:
-			dst = append(dst, tagIntV)
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(col.Ints[p]))
-		case TypeFloat:
-			dst = append(dst, tagFloatV)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(col.Floats[p]))
-		case TypeString:
-			s := col.Bytes(p)
-			dst = append(dst, tagStringV)
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
-			dst = append(dst, s...)
-		case TypeBool:
-			dst = append(dst, tagBoolV)
-			if col.Bools[p] {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
+		v := e.col.Col(c)
+		for p := from; p < v.Len(); p++ {
+			if v.Null(p) {
+				e.strBytes++ // uvarint(0) placeholder
+				continue
 			}
+			n := len(v.Bytes(p))
+			e.strBytes += uvarintLen(uint64(n)) + n
 		}
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
-	e.buf = dst
-	e.rows++
 }
 
-// AppendBatch stages every live row of a column-major batch into the
-// current block — the sender's zero-pivot path when one target consumes
-// whole batches. Columnar mode only.
-func (e *BlockEncoder) AppendBatch(b *ColBatch) {
-	if !e.colMode {
-		panic("row: BlockEncoder.AppendBatch without EnableColumnar")
-	}
-	rows := b.Len()
-	if rows == 0 {
-		return
-	}
+// Append stages one row.
+func (e *BlockEncoder) Append(r Row) {
 	st := e.staging()
-	if e.rows == 0 {
-		e.rawBytes = blockHeaderLen
-	}
-	e.rawBytes += 4 * rows
+	from := st.FullLen()
+	st.AppendRow(r)
+	e.countStrings(from)
+}
+
+// AppendBatchRow stages physical row p of a column-major batch straight
+// off its vectors — the sender's path when a batch's rows fan out over
+// several targets — with no per-row Value materialization.
+func (e *BlockEncoder) AppendBatchRow(b *ColBatch, p int) {
+	st := e.staging()
+	from := st.FullLen()
 	for c := 0; c < b.NumCols(); c++ {
-		src := b.Col(c)
-		dstV := st.Col(c)
+		st.Col(c).AppendFrom(b.Col(c), p)
+	}
+	st.SetFullLen(from + 1)
+	e.countStrings(from)
+}
+
+// AppendBatch stages every live row of a column-major batch — the
+// sender's zero-pivot path when one target consumes whole batches.
+func (e *BlockEncoder) AppendBatch(b *ColBatch) {
+	st := e.staging()
+	from := st.FullLen()
+	rows := b.Len()
+	for c := 0; c < b.NumCols(); c++ {
+		src, dst := b.Col(c), st.Col(c)
 		for si := 0; si < rows; si++ {
-			p := b.SelPos(si)
-			dstV.AppendFrom(src, p)
-			strLen := 0
-			if src.Type() == TypeString && !src.Null(p) {
-				strLen = len(src.Bytes(p))
-			}
-			e.rawBytes += v2CellSize(src.Type(), src.Null(p), strLen)
+			dst.AppendFrom(src, b.SelPos(si))
 		}
 	}
-	st.SetFullLen(st.FullLen() + rows)
-	e.rows += rows
+	st.SetFullLen(from + rows)
+	e.countStrings(from)
 }
 
 // Rows returns the number of rows in the current block.
-func (e *BlockEncoder) Rows() int { return e.rows }
-
-// Len returns the current block's size in bytes for flush budgeting: the
-// encoded frame so far (v1/v2), or the staged rows' v2-equivalent size
-// (columnar mode, where encoding happens at Finish).
-func (e *BlockEncoder) Len() int {
-	if e.colMode {
-		return e.rawBytes
+func (e *BlockEncoder) Rows() int {
+	if e.col == nil {
+		return 0
 	}
-	return len(e.buf)
+	return e.col.FullLen()
 }
 
-// RawBytes returns the current block's pre-compression size — what the
-// staged rows would cost in the v2 row encoding. Callers sampling the
-// compression ratio read it just before Finish.
+// Len returns the current block's uncompressed size for flush budgeting:
+// exactly len(AppendColBlock(nil, staged, false)), computed without
+// encoding (0 with nothing staged).
+func (e *BlockEncoder) Len() int {
+	rows := e.Rows()
+	if rows == 0 {
+		return 0
+	}
+	n := e.fixed + rows*e.rowBytes + e.strBytes
+	for c := range e.types {
+		if e.col.Col(c).HasNulls() {
+			n += (rows + 63) / 64 * 8 // the column's null bitmap
+		}
+	}
+	return n
+}
+
+// RawBytes returns the current block's pre-compression size (Len); the
+// sender reads it just before Finish for its raw-vs-wire accounting.
 func (e *BlockEncoder) RawBytes() int { return e.Len() }
 
 // Finish seals and returns the block frame, transferring ownership to the
 // caller (recycle it with RecycleBlockBuffer once it has left the
 // process). It returns nil when no rows were appended.
 func (e *BlockEncoder) Finish() []byte {
-	if e.rows == 0 {
+	if e.Rows() == 0 {
 		return nil
 	}
-	if e.colMode {
-		frame := AppendColBlock(NewBlockBuffer(), e.col, e.compress)
-		e.col.Reset(e.colTypes)
-		e.rows, e.rawBytes = 0, 0
-		return frame
-	}
-	b := e.buf
-	binary.LittleEndian.PutUint32(b, blockFlag|uint32(len(b)-4))
-	b[4] = WireProtoBlock
-	b[5] = 0
-	binary.LittleEndian.PutUint32(b[6:], uint32(e.rows))
-	e.buf, e.rows = nil, 0
-	return b
+	frame := AppendColBlock(NewBlockBuffer(), e.col, e.compress)
+	e.col.Reset(e.types)
+	e.strBytes = 0
+	return frame
 }
 
-// BlockDecoder iterates the rows of one encoded block frame — v2 row
-// blocks in place (no per-row reads, no payload copies), v3 columnar
-// blocks through an internal ColBatch. DecodeBatch is the column-major
-// twin: one whole frame into a caller-owned batch, zero-pivot for v3.
-type BlockDecoder struct {
-	payload   []byte
-	remaining int
+// BlockDecoder decodes whole block frames into column-major batches.
+type BlockDecoder struct{}
 
-	// v3 frames decode column-major; Next then serves owning rows off
-	// the batch.
-	colFrame bool
-	col      *ColBatch
-	colPos   int
-}
-
-// NewBlockDecoder validates the frame header and returns a decoder over
-// the block's rows.
-func NewBlockDecoder(frame []byte) (*BlockDecoder, error) {
-	var d BlockDecoder
-	if err := d.Reset(frame); err != nil {
-		return nil, err
-	}
-	return &d, nil
-}
-
-// Reset re-points the decoder at another block frame.
-func (d *BlockDecoder) Reset(frame []byte) error {
-	if len(frame) < blockHeaderLen {
-		return fmt.Errorf("row: short block frame (%d bytes)", len(frame))
-	}
-	word := binary.LittleEndian.Uint32(frame)
-	if word&blockFlag == 0 {
-		return fmt.Errorf("row: not a block frame")
-	}
-	if n := int(word &^ blockFlag); n != len(frame)-4 {
-		return fmt.Errorf("row: block frame length %d, have %d bytes", n, len(frame)-4)
-	}
-	if frame[4] == WireProtoCol {
-		if d.col == nil {
-			d.col = &ColBatch{}
-		}
-		rows, err := decodeColTail(frame[4:], d.col)
-		if err != nil {
-			return err
-		}
-		d.payload, d.remaining = nil, rows
-		d.colFrame, d.colPos = true, 0
-		return nil
-	}
-	d.colFrame = false
-	tail, rows, err := parseBlockTail(frame[4:])
-	if err != nil {
-		return err
-	}
-	d.payload, d.remaining = tail, rows
-	return nil
-}
-
-// DecodeBatch decodes one whole block frame into dst, reset to the given
-// column types: a v3 frame lands column-major with no row
-// materialization; a v2 frame transposes its rows. It returns the row
-// count.
+// DecodeBatch decodes one whole block frame (length word included) into
+// dst and checks its columns against the stream's column types. It
+// returns the row count.
 func (d *BlockDecoder) DecodeBatch(frame []byte, dst *ColBatch, types []Type) (int, error) {
-	if len(frame) >= 5 && IsBlockFrame(frame) && frame[4] == WireProtoCol {
-		return DecodeColBlock(frame, dst)
-	}
-	if err := d.Reset(frame); err != nil {
+	n, err := DecodeColBlock(frame, dst)
+	if err != nil {
 		return 0, err
 	}
-	dst.Reset(types)
-	for {
-		r, ok, err := d.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return dst.Len(), nil
-		}
-		if len(r) != dst.NumCols() {
-			return 0, fmt.Errorf("row: block row has %d values, batch has %d columns", len(r), dst.NumCols())
-		}
-		dst.AppendRow(r)
+	if err := colTypesMatch(dst, types); err != nil {
+		return 0, err
 	}
+	return n, nil
 }
 
-// Rows returns how many rows remain undecoded.
-func (d *BlockDecoder) Rows() int { return d.remaining }
-
-// Next decodes the next row; ok is false once the block is exhausted.
-// Rows from a v3 frame own their storage, like their v2 counterparts.
-func (d *BlockDecoder) Next() (r Row, ok bool, err error) {
-	if d.remaining == 0 {
-		if len(d.payload) != 0 {
-			return nil, false, fmt.Errorf("row: %d trailing block bytes", len(d.payload))
-		}
-		return nil, false, nil
-	}
-	if d.colFrame {
-		r = d.col.RowAt(d.colPos, nil)
-		d.colPos++
-		d.remaining--
-		return r, true, nil
-	}
-	r, rest, err := decodeBlockRow(d.payload)
-	if err != nil {
-		return nil, false, err
-	}
-	d.payload = rest
-	d.remaining--
-	return r, true, nil
-}
-
-// ReadRawFrame reads one whole wire frame — v1 single-row or v2 block —
-// off r without decoding it, appended to buf (length word included). It
-// returns io.EOF cleanly at a frame boundary; a frame cut short inside
-// returns io.ErrUnexpectedEOF. The sender's spill replay uses it to re-send
-// spilled bytes frame-aligned, which the credit window requires.
+// ReadRawFrame reads one whole block frame off r without decoding its
+// columns, appended to buf (length word included). It returns io.EOF only
+// when r ends cleanly at a frame boundary; a frame cut short returns
+// io.ErrUnexpectedEOF, and every other read error is returned as is. The
+// sender's spill replay uses it to re-send spilled bytes frame-aligned,
+// which the credit window requires.
 func ReadRawFrame(r io.Reader, buf []byte) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
 	if _, err := io.ReadFull(r, buf[start:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, err
-		}
-		return nil, io.EOF
+		return nil, err
 	}
-	word := binary.LittleEndian.Uint32(buf[start:])
-	n := int(word &^ blockFlag)
-	if word&blockFlag != 0 {
-		if n < blockTailLen || n > MaxBlockSize {
-			return nil, fmt.Errorf("row: bad block frame length %d", n)
-		}
-	} else if n > MaxFrameSize {
-		return nil, fmt.Errorf("row: bad frame length %d", n)
+	n, err := frameLen(binary.LittleEndian.Uint32(buf[start:]))
+	if err != nil {
+		return nil, err
 	}
 	body := len(buf)
 	buf = append(buf, make([]byte, n)...)
 	if _, err := io.ReadFull(r, buf[body:]); err != nil {
-		return nil, io.ErrUnexpectedEOF
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	if _, err := colHeader(buf[body:]); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
 
-// parseBlockTail validates everything after the length word (version,
-// flags, row count) and returns the row payload and row count.
-func parseBlockTail(tail []byte) ([]byte, int, error) {
-	if len(tail) < blockTailLen {
-		return nil, 0, fmt.Errorf("row: truncated block header")
-	}
-	if v := tail[0]; v != WireProtoBlock {
-		return nil, 0, fmt.Errorf("row: unsupported block version %d", v)
-	}
-	rows := int(binary.LittleEndian.Uint32(tail[2:]))
-	if rows > MaxBlockSize {
-		// Same bound the v3 column decoder applies: a row occupies at
-		// least one payload byte, so a count past the frame byte cap is a
-		// lie — reject it at the header instead of mid-decode.
-		return nil, 0, fmt.Errorf("row: block declares %d rows, exceeding MaxBlockSize", rows)
-	}
-	return tail[blockTailLen:], rows, nil
+// Reader decodes a stream of block frames from an io.Reader. A frame is
+// read off the wire in one I/O operation into a reused buffer. Columnar
+// consumers take it whole with ReadColBatch, with no row
+// materialization; row consumers (Read, ReadBlock) are served off one
+// decode of the frame.
+type Reader struct {
+	r     *bufio.Reader
+	buf   []byte
+	nread int64
+
+	// requireEOS makes a bare io.EOF an error: the stream must end with the
+	// explicit end-of-stream frame (WriteEOS). See RequireEOS.
+	requireEOS bool
+
+	// pending frame: the staged tail (aliasing buf — valid until the next
+	// frame is read, i.e. until this one is fully served), the rows still
+	// to serve, and the wire size to credit to nread once the last of them
+	// has been consumed. The row-path reads decode the tail lazily into
+	// colDec and serve rows off the batch; ReadColBatch takes an untouched
+	// frame whole, zero-pivot.
+	colTail    []byte
+	blockRows  int
+	blockWire  int64
+	colDec     *ColBatch
+	colDecoded bool
+	colServed  int
 }
 
-// decodeBlockRow decodes one length-prefixed row body off the front of
-// payload, returning the rest.
-func decodeBlockRow(payload []byte) (Row, []byte, error) {
-	if len(payload) < 4 {
-		return nil, nil, fmt.Errorf("row: truncated row header in block")
+// Bytes returns the wire bytes of fully consumed frames (headers
+// included); the streaming transfer's flow control is driven by this
+// counter. A frame counts only once all of its rows have been served, so
+// a slow consumer does not grant credit for rows it has merely buffered.
+func (r *Reader) Bytes() int64 { return r.nread }
+
+// NewReader returns a frame reader over r.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: bufio.NewReader(r)}
+}
+
+// RequireEOS makes the reader demand the explicit end-of-stream frame
+// (WriteEOS): a stream that simply stops is then a truncation error, not a
+// clean end. Transports where a peer's death closes the connection — which
+// reads as EOF and could land exactly on a frame boundary — need this to
+// tell completion from a mid-stream failure; readers over files or buffers,
+// where EOF is authoritative, do not set it.
+func (r *Reader) RequireEOS() { r.requireEOS = true }
+
+// WriteEOS writes the explicit end-of-stream frame: a zero length word,
+// which no block frame ever produces. Readers in RequireEOS mode treat it
+// as the only clean end of stream.
+func WriteEOS(w io.Writer) error {
+	var hdr [4]byte
+	_, err := w.Write(hdr[:])
+	return err
+}
+
+// stage reads frames until one with rows to serve is pending.
+func (r *Reader) stage() error {
+	for r.blockRows == 0 {
+		if err := r.nextFrame(); err != nil {
+			return err
+		}
 	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	if n > MaxFrameSize || 4+n > len(payload) {
-		return nil, nil, fmt.Errorf("row: truncated row body in block (%d of %d bytes)", n, len(payload)-4)
+	return nil
+}
+
+// release credits the pending frame once its last row has been served.
+func (r *Reader) release() {
+	r.nread += r.blockWire
+	r.colTail, r.colDecoded = nil, false
+}
+
+// Read decodes the next row. It returns io.EOF cleanly at end of stream.
+func (r *Reader) Read() (Row, error) {
+	if err := r.stage(); err != nil {
+		return nil, err
 	}
-	r, err := DecodeBinary(payload[4 : 4+n])
+	if err := r.decodeStaged(); err != nil {
+		return nil, err
+	}
+	row := r.colDec.RowAt(r.colServed, nil)
+	r.colServed++
+	r.blockRows--
+	if r.blockRows == 0 {
+		r.release()
+	}
+	return row, nil
+}
+
+// decodeStaged decodes the pending frame into the reader's scratch batch,
+// once per frame.
+func (r *Reader) decodeStaged() error {
+	if r.colDecoded {
+		return nil
+	}
+	if r.colDec == nil {
+		r.colDec = &ColBatch{}
+	}
+	rows, err := decodeColTail(r.colTail, r.colDec)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return r, payload[4+n:], nil
+	if rows != r.blockRows {
+		return fmt.Errorf("row: columnar frame decoded %d rows, staged %d", rows, r.blockRows)
+	}
+	r.colDecoded, r.colServed = true, 0
+	return nil
+}
+
+// ReadBlock appends every remaining row of the current frame to dst and
+// returns it. It returns io.EOF cleanly at end of stream. Batch consumers
+// (hadoopfmt.BatchRecordReader) use it to amortize per-row call overhead.
+func (r *Reader) ReadBlock(dst []Row) ([]Row, error) {
+	if err := r.stage(); err != nil {
+		return nil, err
+	}
+	if err := r.decodeStaged(); err != nil {
+		return nil, err
+	}
+	for ; r.blockRows > 0; r.blockRows-- {
+		dst = append(dst, r.colDec.RowAt(r.colServed, nil))
+		r.colServed++
+	}
+	r.release()
+	return dst, nil
+}
+
+// ReadColBatch decodes the next frame into dst, checked against the
+// stream's column types, and returns its remaining row count. An
+// untouched frame decodes straight into dst — the zero-pivot path — while
+// a frame already partially served row-wise (the resume handshake's
+// duplicate skip) copies its remaining rows. It returns io.EOF cleanly at
+// end of stream, and always consumes (and credits) the whole frame.
+func (r *Reader) ReadColBatch(dst *ColBatch, types []Type) (int, error) {
+	if err := r.stage(); err != nil {
+		return 0, err
+	}
+	if !r.colDecoded {
+		rows, err := decodeColTail(r.colTail, dst)
+		if err != nil {
+			return 0, err
+		}
+		if err := colTypesMatch(dst, types); err != nil {
+			return 0, err
+		}
+		r.blockRows = 0
+		r.release()
+		return rows, nil
+	}
+	if err := colTypesMatch(r.colDec, types); err != nil {
+		return 0, err
+	}
+	dst.Reset(types)
+	for ; r.blockRows > 0; r.blockRows-- {
+		for c := 0; c < dst.NumCols(); c++ {
+			dst.Col(c).AppendFrom(r.colDec.Col(c), r.colServed)
+		}
+		dst.SetFullLen(dst.FullLen() + 1)
+		r.colServed++
+	}
+	r.release()
+	return dst.Len(), nil
+}
+
+// colTypesMatch verifies a decoded batch's shape against the stream
+// schema's column types — a frame whose columns disagree with the
+// handshake is corrupt.
+func colTypesMatch(b *ColBatch, types []Type) error {
+	if b.NumCols() != len(types) {
+		return fmt.Errorf("row: columnar frame has %d columns, schema has %d", b.NumCols(), len(types))
+	}
+	for i := range types {
+		if b.Col(i).Type() != types[i] {
+			return fmt.Errorf("row: columnar frame column %d is %s, schema wants %s", i, b.Col(i).Type(), types[i])
+		}
+	}
+	return nil
+}
+
+// nextFrame reads one frame into the reused buffer and stages its rows
+// for serving.
+func (r *Reader) nextFrame() error {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return fmt.Errorf("row: truncated frame header: %w", err)
+		}
+		if err == io.EOF && r.requireEOS {
+			return fmt.Errorf("row: stream ended without end-of-stream frame: %w", io.ErrUnexpectedEOF)
+		}
+		return err
+	}
+	word := binary.LittleEndian.Uint32(hdr[:])
+	if word == 0 {
+		// Explicit end-of-stream frame (WriteEOS).
+		return io.EOF
+	}
+	n, err := frameLen(word)
+	if err != nil {
+		return err
+	}
+	if cap(r.buf) < n {
+		r.buf = make([]byte, n)
+	}
+	tail := r.buf[:n]
+	if _, err := io.ReadFull(r.r, tail); err != nil {
+		return fmt.Errorf("row: truncated block frame: %w", err)
+	}
+	rows, err := colHeader(tail)
+	if err != nil {
+		return err
+	}
+	if rows == 0 {
+		// Empty frame: account it and move on.
+		r.nread += int64(4 + n)
+		return nil
+	}
+	r.colTail, r.colDecoded, r.colServed = tail, false, 0
+	r.blockRows, r.blockWire = rows, int64(4+n)
+	return nil
+}
+
+// WriteSchema writes a schema header: it precedes the frames on a stream
+// so the receiving side can type its output without out-of-band
+// agreement.
+func WriteSchema(w io.Writer, s Schema) error {
+	enc := []byte(s.String())
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(enc)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(enc)
+	return err
+}
+
+// ReadSchema reads a schema header written by WriteSchema.
+func ReadSchema(r io.Reader) (Schema, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Schema{}, err
+	}
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	if n > MaxFrameSize {
+		return Schema{}, fmt.Errorf("row: schema header of %d bytes exceeds limit", n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Schema{}, err
+	}
+	return ParseSchema(string(buf))
 }

@@ -2,11 +2,17 @@ package row
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// blockTypes are the column types of blockRows.
+var blockTypes = []Type{TypeInt, TypeFloat, TypeString, TypeBool, TypeString}
 
 func blockRows(n, base int) []Row {
 	out := make([]Row, n)
@@ -22,9 +28,36 @@ func blockRows(n, base int) []Row {
 	return out
 }
 
+// encodeBlock packs rows into one compressed block frame.
+func encodeBlock(rows []Row) []byte {
+	var enc BlockEncoder
+	enc.EnableColumnar(blockTypes, true)
+	for _, r := range rows {
+		enc.Append(r)
+	}
+	return enc.Finish()
+}
+
+// legacyV1Frame hand-builds a retired v1 per-row frame: a length word
+// without the block flag, then one binary row record.
+func legacyV1Frame(r Row) []byte { return AppendBinary(nil, r) }
+
+// legacyV2Frame hand-builds a retired v2 row block: the flagged length
+// word, version 2, flags, row count, then length-prefixed row records.
+func legacyV2Frame(rows []Row) []byte {
+	f := []byte{0, 0, 0, 0, 2, 0}
+	f = binary.LittleEndian.AppendUint32(f, uint32(len(rows)))
+	for _, r := range rows {
+		f = AppendBinary(f, r)
+	}
+	binary.LittleEndian.PutUint32(f, blockFlag|uint32(len(f)-4))
+	return f
+}
+
 func TestBlockEncodeDecodeRoundTrip(t *testing.T) {
 	rows := blockRows(37, 100)
 	var enc BlockEncoder
+	enc.EnableColumnar(blockTypes, true)
 	for _, r := range rows {
 		enc.Append(r)
 	}
@@ -32,30 +65,28 @@ func TestBlockEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("encoder rows = %d", enc.Rows())
 	}
 	frame := enc.Finish()
-	if frame == nil || !IsBlockFrame(frame) {
-		t.Fatal("Finish did not produce a block frame")
+	if frame == nil || frame[4] != WireProtoCol {
+		t.Fatal("Finish did not produce a v3 block frame")
 	}
 	if enc.Rows() != 0 || enc.Len() != 0 {
 		t.Fatal("encoder not detached after Finish")
 	}
-	dec, err := NewBlockDecoder(frame)
+	var dec BlockDecoder
+	got := NewColBatch(nil)
+	n, err := dec.DecodeBatch(frame, got, blockTypes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Rows() != len(rows) {
-		t.Fatalf("decoder rows = %d", dec.Rows())
+	if n != len(rows) {
+		t.Fatalf("decoded rows = %d", n)
 	}
-	for i, want := range rows {
-		got, ok, err := dec.Next()
-		if err != nil || !ok {
-			t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("row %d = %v, want %v", i, got, want)
+	for i, r := range got.Rows(nil) {
+		if !r.Equal(rows[i]) {
+			t.Fatalf("row %d = %v, want %v", i, r, rows[i])
 		}
 	}
-	if _, ok, err := dec.Next(); ok || err != nil {
-		t.Fatalf("decoder did not end cleanly: ok=%v err=%v", ok, err)
+	if _, err := dec.DecodeBatch(frame, got, blockTypes[:4]); err == nil {
+		t.Fatal("DecodeBatch accepted a frame whose columns disagree with the types")
 	}
 }
 
@@ -64,89 +95,81 @@ func TestBlockEncoderEmptyFinish(t *testing.T) {
 	if f := enc.Finish(); f != nil {
 		t.Fatalf("empty Finish = %v", f)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Append before EnableColumnar did not panic")
+		}
+	}()
+	enc.Append(blockRows(1, 0)[0])
 }
 
 func TestBlockDecoderRejectsCorruptFrames(t *testing.T) {
-	var enc BlockEncoder
-	enc.Append(blockRows(1, 0)[0])
-	frame := enc.Finish()
+	frame := encodeBlock(blockRows(1, 0))
+	mut := func(f func(c []byte) []byte) []byte { return f(append([]byte{}, frame...)) }
 	cases := map[string][]byte{
-		"short":        frame[:blockHeaderLen-1],
-		"not-a-block":  append([]byte{1, 0, 0, 0}, frame[4:]...),
-		"bad-length":   append(append([]byte{}, frame...), 0xff),
-		"bad-version":  func() []byte { c := append([]byte{}, frame...); c[4] = 9; return c }(),
-		"trailing-row": func() []byte { c := append([]byte{}, frame...); c[3] |= 0; c[8]++; return c }(), // rowCount+1 with no payload
+		"short":       frame[:3],
+		"not-a-block": mut(func(c []byte) []byte { c[3] &^= 0x80; return c }),
+		"bad-length":  append(append([]byte{}, frame...), 0xff),
+		"bad-version": mut(func(c []byte) []byte { c[4] = 9; return c }),
+		"lying-rows":  mut(func(c []byte) []byte { c[6]++; return c }),
 	}
+	var dec BlockDecoder
 	for name, c := range cases {
-		dec, err := NewBlockDecoder(c)
-		if err != nil {
-			continue // rejected at header validation — fine
-		}
-		ok := true
-		for ok && err == nil {
-			_, ok, err = dec.Next()
-		}
-		if err == nil {
+		if _, err := dec.DecodeBatch(c, NewColBatch(nil), blockTypes); err == nil {
 			t.Errorf("%s: corrupt frame decoded cleanly", name)
 		}
 	}
 }
 
-// TestReaderDecodesMixedVersionStream interleaves v1 single-row frames and
-// v2 block frames on one stream — what a mixed-version deployment (or a
-// spool written under a different negotiated protocol) produces.
-func TestReaderDecodesMixedVersionStream(t *testing.T) {
-	var wire bytes.Buffer
-	var want []Row
-	// v1 run.
-	v1 := blockRows(5, 0)
-	for _, r := range v1 {
-		wire.Write(AppendBinary(nil, r))
+// TestReaderRejectsLegacyFrames feeds the retired framings — a v1 per-row
+// frame and a v2 row block, built by hand — to every frame decoder: each
+// must fail with an error naming the unsupported frame, never mis-read
+// or panic.
+func TestReaderRejectsLegacyFrames(t *testing.T) {
+	cases := []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"v1", legacyV1Frame(blockRows(1, 0)[0]), "unsupported v1 row frame"},
+		{"v2", legacyV2Frame(blockRows(3, 0)), "unsupported block frame version 2"},
 	}
-	want = append(want, v1...)
-	// v2 block.
-	var enc BlockEncoder
-	v2 := blockRows(20, 1000)
-	for _, r := range v2 {
-		enc.Append(r)
-	}
-	wire.Write(enc.Finish())
-	want = append(want, v2...)
-	// v1 again (a sender that fell back mid-stream).
-	tail := blockRows(3, 5000)
-	for _, r := range tail {
-		wire.Write(AppendBinary(nil, r))
-	}
-	want = append(want, tail...)
+	for _, c := range cases {
+		check := func(path string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s via %s: err = %v, want %q", c.name, path, err, c.want)
+			}
+		}
+		_, err := NewReader(bytes.NewReader(c.frame)).Read()
+		check("Reader.Read", err)
+		_, err = NewReader(bytes.NewReader(c.frame)).ReadColBatch(NewColBatch(nil), blockTypes)
+		check("Reader.ReadColBatch", err)
+		var dec BlockDecoder
+		_, err = dec.DecodeBatch(c.frame, NewColBatch(nil), blockTypes)
+		check("BlockDecoder.DecodeBatch", err)
+		_, err = ReadRawFrame(bytes.NewReader(c.frame), nil)
+		check("ReadRawFrame", err)
 
-	wireLen := int64(wire.Len())
-	rd := NewReader(&wire)
-	for i, w := range want {
-		got, err := rd.Read()
-		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
+		// Behind a valid frame, the v3 rows are served and the legacy
+		// frame still fails.
+		stream := append(encodeBlock(blockRows(2, 0)), c.frame...)
+		rd := NewReader(bytes.NewReader(stream))
+		for i := 0; i < 2; i++ {
+			if _, err := rd.Read(); err != nil {
+				t.Fatalf("%s: v3 row %d: %v", c.name, i, err)
+			}
 		}
-		if !got.Equal(w) {
-			t.Fatalf("row %d = %v, want %v", i, got, w)
-		}
-	}
-	if _, err := rd.Read(); err != io.EOF {
-		t.Fatalf("end of stream err = %v", err)
-	}
-	if rd.Bytes() != wireLen {
-		t.Fatalf("Bytes() = %d, wire had %d", rd.Bytes(), wireLen)
+		_, err = rd.Read()
+		check("Reader.Read after a v3 frame", err)
 	}
 }
 
 // TestReaderBytesCreditsBlockOnLastRow pins the flow-control contract: a
 // block's wire bytes count only once its last row is served.
 func TestReaderBytesCreditsBlockOnLastRow(t *testing.T) {
-	var enc BlockEncoder
 	rows := blockRows(4, 0)
-	for _, r := range rows {
-		enc.Append(r)
-	}
-	frame := enc.Finish()
+	frame := encodeBlock(rows)
 	rd := NewReader(bytes.NewReader(frame))
 	for i := 0; i < len(rows)-1; i++ {
 		if _, err := rd.Read(); err != nil {
@@ -166,14 +189,10 @@ func TestReaderBytesCreditsBlockOnLastRow(t *testing.T) {
 
 func TestReaderReadBlockBatches(t *testing.T) {
 	var wire bytes.Buffer
-	var enc BlockEncoder
 	rows := blockRows(10, 0)
-	for _, r := range rows {
-		enc.Append(r)
-	}
-	wire.Write(enc.Finish())
+	wire.Write(encodeBlock(rows))
 	single := blockRows(1, 99)[0]
-	wire.Write(AppendBinary(nil, single))
+	wire.Write(encodeBlock([]Row{single}))
 
 	rd := NewReader(&wire)
 	batch, err := rd.ReadBlock(nil)
@@ -185,7 +204,7 @@ func TestReaderReadBlockBatches(t *testing.T) {
 	}
 	batch, err = rd.ReadBlock(batch[:0])
 	if err != nil || len(batch) != 1 || !batch[0].Equal(single) {
-		t.Fatalf("v1 batch = %v (err %v)", batch, err)
+		t.Fatalf("one-row batch = %v (err %v)", batch, err)
 	}
 	if _, err := rd.ReadBlock(nil); err != io.EOF {
 		t.Fatalf("end err = %v", err)
@@ -194,7 +213,8 @@ func TestReaderReadBlockBatches(t *testing.T) {
 
 // TestBlocksRoundTripThroughDiskFile writes block frames to a file the way
 // the sender's spill path does (raw frame bytes, one write per block) and
-// re-reads them byte-identical through the frame reader.
+// re-reads them byte-identical, both frame-aligned (ReadRawFrame, the
+// spill replay) and through the frame reader.
 func TestBlocksRoundTripThroughDiskFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spill")
 	f, err := os.Create(path)
@@ -204,13 +224,9 @@ func TestBlocksRoundTripThroughDiskFile(t *testing.T) {
 	var want []Row
 	var frames [][]byte
 	for b := 0; b < 5; b++ {
-		var enc BlockEncoder
 		rows := blockRows(50+b, b*1000)
-		for _, r := range rows {
-			enc.Append(r)
-		}
 		want = append(want, rows...)
-		frame := enc.Finish()
+		frame := encodeBlock(rows)
 		frames = append(frames, append([]byte(nil), frame...))
 		if _, err := f.Write(frame); err != nil {
 			t.Fatal(err)
@@ -226,6 +242,16 @@ func TestBlocksRoundTripThroughDiskFile(t *testing.T) {
 	if !bytes.Equal(raw, bytes.Join(frames, nil)) {
 		t.Fatal("spill file is not the byte-identical concatenation of the frames")
 	}
+	src := bytes.NewReader(raw)
+	for i, want := range frames {
+		got, err := ReadRawFrame(src, nil)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("raw frame %d: %d bytes (err %v), want %d", i, len(got), err, len(want))
+		}
+	}
+	if _, err := ReadRawFrame(src, nil); err != io.EOF {
+		t.Fatalf("raw end err = %v", err)
+	}
 	rd := NewReader(bytes.NewReader(raw))
 	for i, w := range want {
 		got, err := rd.Read()
@@ -235,6 +261,51 @@ func TestBlocksRoundTripThroughDiskFile(t *testing.T) {
 	}
 	if _, err := rd.Read(); err != io.EOF {
 		t.Fatalf("end err = %v", err)
+	}
+}
+
+// failingReader serves its data, then fails with err instead of io.EOF.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if len(f.data) == 0 {
+		return 0, f.err
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, nil
+}
+
+// TestReadRawFrameErrors pins ReadRawFrame's end-of-input contract: only
+// io.EOF at a frame boundary is a clean end. A read failure at a boundary
+// or inside a frame is returned as is, and input that stops mid-frame is
+// io.ErrUnexpectedEOF — the spill replay must never mistake a failed read
+// for the end of the spool.
+func TestReadRawFrameErrors(t *testing.T) {
+	frame := encodeBlock(blockRows(3, 0))
+	errBoom := errors.New("disk gone")
+	cases := []struct {
+		name string
+		src  io.Reader
+		want error
+	}{
+		{"eof-at-boundary", bytes.NewReader(frame), io.EOF},
+		{"error-at-boundary", &failingReader{data: frame, err: errBoom}, errBoom},
+		{"error-in-header", &failingReader{data: append(append([]byte{}, frame...), frame[:2]...), err: errBoom}, errBoom},
+		{"error-in-body", &failingReader{data: append(append([]byte{}, frame...), frame[:9]...), err: errBoom}, errBoom},
+		{"eof-in-body", bytes.NewReader(append(append([]byte{}, frame...), frame[:9]...)), io.ErrUnexpectedEOF},
+	}
+	for _, c := range cases {
+		got, err := ReadRawFrame(c.src, nil)
+		if err != nil || !bytes.Equal(got, frame) {
+			t.Fatalf("%s: first frame: %d bytes, err %v", c.name, len(got), err)
+		}
+		if _, err := ReadRawFrame(c.src, nil); !errors.Is(err, c.want) {
+			t.Errorf("%s: second read err = %v, want %v", c.name, err, c.want)
+		}
 	}
 }
 

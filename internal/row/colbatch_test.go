@@ -210,30 +210,54 @@ func TestVectorKeyByteIdentity(t *testing.T) {
 	}
 }
 
-// AppendBatchRow must produce frames byte-identical to Append of the
-// materialized row, so the sender's columnar fast path cannot change the
-// wire format.
+// Row Append, AppendBatchRow and AppendBatch must produce byte-identical
+// frames for the same live rows, so the sender's columnar fast paths
+// cannot change the wire; the frame must decode to the source batch's
+// live rows.
 func TestBlockEncoderAppendBatchRowByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	types := []Type{TypeInt, TypeFloat, TypeString, TypeBool}
-	rows := randomColRows(rng, types, 64)
 	b := NewColBatch(types)
-	for _, r := range rows {
+	for _, r := range randomColRows(rng, types, 64) {
 		b.AppendRow(r)
 	}
-
-	var rowEnc, colEnc BlockEncoder
-	for p, r := range rows {
-		rowEnc.Append(r)
-		colEnc.AppendBatchRow(b, p)
+	var sel []int32
+	for p := 0; p < b.FullLen(); p++ {
+		if rng.Intn(3) > 0 {
+			sel = append(sel, int32(p))
+		}
 	}
+	b.SetSel(sel)
+
+	var rowEnc, rowColEnc, batchEnc BlockEncoder
+	for _, enc := range []*BlockEncoder{&rowEnc, &rowColEnc, &batchEnc} {
+		enc.EnableColumnar(types, true)
+	}
+	var live []Row
+	for si := 0; si < b.Len(); si++ {
+		r := b.RowAt(si, nil)
+		live = append(live, r)
+		rowEnc.Append(r)
+		rowColEnc.AppendBatchRow(b, b.SelPos(si))
+	}
+	batchEnc.AppendBatch(b)
 	want := rowEnc.Finish()
-	got := colEnc.Finish()
-	if !bytes.Equal(got, want) {
-		t.Fatalf("columnar block frame differs from row frame: %d vs %d bytes", len(got), len(want))
+	for name, got := range map[string][]byte{"AppendBatchRow": rowColEnc.Finish(), "AppendBatch": batchEnc.Finish()} {
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s frame differs from the row-append frame: %d vs %d bytes", name, len(got), len(want))
+		}
+		RecycleBlockBuffer(got)
+	}
+	dec := NewColBatch(nil)
+	if _, err := DecodeColBlock(want, dec); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range dec.Rows(nil) {
+		if !r.Equal(live[i]) {
+			t.Fatalf("row %d = %v, want live row %v", i, r, live[i])
+		}
 	}
 	RecycleBlockBuffer(want)
-	RecycleBlockBuffer(got)
 }
 
 func TestBlockTargetRowsIsDefaultBatchSize(t *testing.T) {

@@ -7,15 +7,15 @@ import (
 	"math/bits"
 )
 
-// Columnar block frames (wire protocol v3). Where a v2 block ships rows —
-// each one re-tagged value by value — a v3 frame ships a whole ColBatch
-// column-major: per-column typed vectors with their null bitmaps, the
-// selection vector applied at encode time, and a lightweight encoding
-// chosen per column per block. The receiving side decodes straight into a
-// pooled ColBatch, so the transfer path runs column-at-a-time end to end
-// and rows are materialized only for v1/v2 peers and UDF shims.
+// Columnar block frames (wire protocol v3), the transfer's one frame
+// format (block.go). A frame ships a whole ColBatch column-major:
+// per-column typed vectors with their null bitmaps, the selection vector
+// applied at encode time, and a lightweight encoding chosen per column per
+// block. The receiving side decodes straight into a pooled ColBatch, so
+// the transfer path runs column-at-a-time end to end and rows are
+// materialized only for row consumers and UDF shims.
 //
-// v3 frame layout (all little-endian; shares the v1/v2 length word):
+// v3 frame layout (all little-endian):
 //
 //	uint32  blockFlag | n   (top bit marks a block frame; low 31 bits are
 //	                         the byte count that follows this word)
@@ -63,6 +63,10 @@ const (
 	// colTailLen is the fixed v3 header after the length word:
 	// version(1) + flags(1) + rowCount(4) + checksum(4) + colCount(2).
 	colTailLen = 12
+
+	// colSectionLen is a column section's fixed part: type(1) +
+	// encoding(1) + has-nulls(1) + payload length(4).
+	colSectionLen = 7
 
 	// colFlagRawOnly marks a frame whose columns skipped compression (the
 	// ablation grid's uncompressed arm); purely informational.
@@ -334,17 +338,34 @@ func appendDict(dst []byte, v *Vector, b *ColBatch, rows int, entries [][]byte, 
 // goes through Reader.ReadColBatch instead, which skips the re-validation
 // of the length word.
 func DecodeColBlock(frame []byte, dst *ColBatch) (int, error) {
-	if len(frame) < 4+colTailLen {
-		return 0, fmt.Errorf("row: short columnar frame (%d bytes)", len(frame))
+	if len(frame) < 4 {
+		return 0, fmt.Errorf("row: short block frame (%d bytes)", len(frame))
 	}
-	word := binary.LittleEndian.Uint32(frame)
-	if word&blockFlag == 0 {
-		return 0, fmt.Errorf("row: not a block frame")
+	n, err := frameLen(binary.LittleEndian.Uint32(frame))
+	if err != nil {
+		return 0, err
 	}
-	if n := int(word &^ blockFlag); n != len(frame)-4 {
+	if n != len(frame)-4 {
 		return 0, fmt.Errorf("row: columnar frame length %d, have %d bytes", n, len(frame)-4)
 	}
 	return decodeColTail(frame[4:], dst)
+}
+
+// colHeader validates the fixed header after a frame's length word — the
+// version byte first, so a retired v2 row block is named as such — and
+// returns the declared row count.
+func colHeader(tail []byte) (int, error) {
+	if len(tail) > 0 && tail[0] != WireProtoCol {
+		return 0, fmt.Errorf("row: unsupported block frame version %d (only v3 columnar frames are read)", tail[0])
+	}
+	if len(tail) < colTailLen {
+		return 0, fmt.Errorf("row: truncated columnar header")
+	}
+	rows := int(binary.LittleEndian.Uint32(tail[2:]))
+	if rows > MaxBlockSize {
+		return 0, fmt.Errorf("row: columnar frame claims %d rows", rows)
+	}
+	return rows, nil
 }
 
 // decodeColTail decodes everything after a v3 frame's length word into
@@ -353,15 +374,9 @@ func DecodeColBlock(frame []byte, dst *ColBatch) (int, error) {
 // checksum plus per-encoding size checks run before any vector is sized,
 // so a hostile frame cannot force large allocations.
 func decodeColTail(tail []byte, dst *ColBatch) (int, error) {
-	if len(tail) < colTailLen {
-		return 0, fmt.Errorf("row: truncated columnar header")
-	}
-	if v := tail[0]; v != WireProtoCol {
-		return 0, fmt.Errorf("row: unsupported columnar block version %d", v)
-	}
-	rows := int(binary.LittleEndian.Uint32(tail[2:]))
-	if rows > MaxBlockSize {
-		return 0, fmt.Errorf("row: columnar frame claims %d rows", rows)
+	rows, err := colHeader(tail)
+	if err != nil {
+		return 0, err
 	}
 	if want, got := binary.LittleEndian.Uint32(tail[6:]), fnv1a32(tail[10:]); want != got {
 		return 0, fmt.Errorf("row: columnar frame checksum mismatch (header %08x, payload %08x)", want, got)

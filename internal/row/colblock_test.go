@@ -47,11 +47,21 @@ func genColBatch(rnd *rand.Rand, n int, nullFrac float64, ndv int, withSel bool)
 	return b
 }
 
-// TestColBlockRoundTripMatchesV2 is the value-identity property: for
+// liveRows materializes b's live rows (selection applied) straight off
+// its vectors — a reference that shares no code with the frame codecs.
+func liveRows(b *ColBatch) []Row {
+	out := make([]Row, b.Len())
+	for si := range out {
+		out[si] = b.RowAt(si, nil)
+	}
+	return out
+}
+
+// TestColBlockRoundTripMatchesLiveRows is the value-identity property: for
 // NULL-heavy and selection-heavy batches, encode→decode through the v3
-// columnar frame yields exactly the rows the v2 row encoding yields —
-// compressed and uncompressed.
-func TestColBlockRoundTripMatchesV2(t *testing.T) {
+// columnar frame yields exactly the source batch's live rows — compressed
+// and uncompressed.
+func TestColBlockRoundTripMatchesLiveRows(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rnd.Intn(200)
@@ -60,29 +70,7 @@ func TestColBlockRoundTripMatchesV2(t *testing.T) {
 		withSel := trial%4 < 2
 		compress := trial%2 == 0
 		b := genColBatch(rnd, n, nullFrac, ndv, withSel)
-
-		// v2 reference: row-encode the live rows, decode back.
-		var v2enc BlockEncoder
-		for si := 0; si < b.Len(); si++ {
-			v2enc.AppendBatchRow(b, b.SelPos(si))
-		}
-		var want []Row
-		if frame := v2enc.Finish(); frame != nil {
-			dec, err := NewBlockDecoder(frame)
-			if err != nil {
-				t.Fatalf("trial %d: v2 decode: %v", trial, err)
-			}
-			for {
-				r, ok, err := dec.Next()
-				if err != nil {
-					t.Fatalf("trial %d: v2 next: %v", trial, err)
-				}
-				if !ok {
-					break
-				}
-				want = append(want, r)
-			}
-		}
+		want := liveRows(b)
 
 		frame := AppendColBlock(nil, b, compress)
 		if b.Len() == 0 {
@@ -97,39 +85,67 @@ func TestColBlockRoundTripMatchesV2(t *testing.T) {
 			t.Fatalf("trial %d: v3 decode: %v", trial, err)
 		}
 		if rows != len(want) {
-			t.Fatalf("trial %d: v3 rows = %d, v2 = %d", trial, rows, len(want))
+			t.Fatalf("trial %d: v3 rows = %d, live rows = %d", trial, rows, len(want))
 		}
 		gotRows := got.Rows(nil)
 		for i := range want {
 			if !gotRows[i].Equal(want[i]) {
-				t.Fatalf("trial %d row %d (compress=%v sel=%v): v3 %v, v2 %v",
+				t.Fatalf("trial %d row %d (compress=%v sel=%v): v3 %v, live %v",
 					trial, i, compress, withSel, gotRows[i], want[i])
 			}
 		}
 	}
 }
 
+// TestBlockEncoderLenIsV3RawSize pins the encoder's budget currency: after
+// every row, AppendBatchRow and AppendBatch append, Len and RawBytes equal
+// the size of the uncompressed v3 frame of the staged rows — on
+// NULL-heavy, selection-heavy batches.
+func TestBlockEncoderLenIsV3RawSize(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 30; trial++ {
+		b := genColBatch(rnd, 1+rnd.Intn(150), []float64{0, 0.2, 0.9}[trial%3], []int{2, 26}[trial%2], trial%2 == 0)
+		var enc BlockEncoder
+		enc.EnableColumnar(colTestTypes, true)
+		check := func(how string) {
+			t.Helper()
+			want := len(AppendColBlock(nil, enc.col, false))
+			if enc.Len() != want || enc.RawBytes() != want {
+				t.Fatalf("trial %d after %s (%d rows): Len %d, RawBytes %d, uncompressed frame %d bytes",
+					trial, how, enc.Rows(), enc.Len(), enc.RawBytes(), want)
+			}
+		}
+		check("nothing")
+		live := liveRows(b)
+		for si := 0; si < b.Len(); si++ {
+			if si%2 == 0 {
+				enc.Append(live[si])
+				check("Append")
+			} else {
+				enc.AppendBatchRow(b, b.SelPos(si))
+				check("AppendBatchRow")
+			}
+		}
+		enc.AppendBatch(b)
+		check("AppendBatch")
+		enc.Finish()
+		check("Finish")
+	}
+}
+
 // TestColBlockEncodingSelection pins the per-column encoding choices: a
 // clustered BIGINT column goes frame-of-reference, a low-NDV VARCHAR
-// column goes dictionary, and both beat the v2 row encoding by a wide
-// margin; high-entropy columns fall back to raw and still round-trip.
+// column goes dictionary, and both beat the uncompressed v3 frame by a
+// wide margin; high-entropy columns fall back to raw and still round-trip.
 func TestColBlockEncodingSelection(t *testing.T) {
 	b := NewColBatch([]Type{TypeInt, TypeString})
 	for i := 0; i < 1024; i++ {
 		b.AppendRow(Row{Int(int64(5_000_000 + i)), String_([]string{"alpha", "beta", "gamma"}[i%3])})
 	}
-	var v2enc BlockEncoder
-	for i := 0; i < b.Len(); i++ {
-		v2enc.AppendBatchRow(b, i)
-	}
-	v2 := v2enc.Finish()
 	v3 := AppendColBlock(nil, b, true)
-	if len(v3)*2 > len(v2) {
-		t.Errorf("compressible block: v3 = %d bytes vs v2 = %d; want at least 2x smaller", len(v3), len(v2))
-	}
 	raw := AppendColBlock(nil, b, false)
-	if len(raw) <= len(v3) {
-		t.Errorf("uncompressed v3 = %d bytes, compressed = %d; the flag did nothing", len(raw), len(v3))
+	if len(v3)*2 > len(raw) {
+		t.Errorf("compressible block: v3 = %d bytes vs v3 raw = %d; want at least 2x smaller", len(v3), len(raw))
 	}
 	for _, frame := range [][]byte{v3, raw} {
 		got := NewColBatch(nil)
@@ -162,8 +178,8 @@ func TestColBlockEncodingSelection(t *testing.T) {
 
 // TestBlockEncoderColumnarMode drives the encoder the way the sender
 // does — EnableColumnar, then a mix of AppendBatch, AppendBatchRow and
-// row Append — and checks Finish emits a decodable v3 frame, the encoder
-// detaches, and RawBytes tracks the v2-equivalent size.
+// row Append — and checks Finish emits a decodable v3 frame and the
+// encoder detaches.
 func TestBlockEncoderColumnarMode(t *testing.T) {
 	types := []Type{TypeInt, TypeFloat, TypeString, TypeBool}
 	rnd := rand.New(rand.NewSource(3))
@@ -184,7 +200,7 @@ func TestBlockEncoderColumnarMode(t *testing.T) {
 		t.Fatalf("RawBytes = %d, Len = %d", raw, enc.Len())
 	}
 	frame := enc.Finish()
-	if frame == nil || !IsBlockFrame(frame) || frame[4] != WireProtoCol {
+	if frame == nil || frame[4] != WireProtoCol {
 		t.Fatal("Finish did not produce a v3 frame")
 	}
 	if enc.Rows() != 0 || enc.Len() != 0 {
@@ -217,32 +233,23 @@ func TestBlockEncoderColumnarMode(t *testing.T) {
 	}
 }
 
-// TestReaderMixedStreamWithV3 interleaves all three frame versions on one
-// stream: the row path serves every row in order, credits each frame's
-// wire bytes only when its last row is served, and ReadColBatch consumes
-// whatever frame comes next.
+// TestReaderMixedStreamWithV3 mixes the reader's three ways of consuming
+// one stream of v3 frames — row by row, a frame of rows at a time, and a
+// ColBatch at a time — and checks every path serves the same rows and
+// credits every frame's wire bytes in full.
 func TestReaderMixedStreamWithV3(t *testing.T) {
 	var wire bytes.Buffer
 	var want []Row
-	v1 := blockRows(3, 0)
-	for _, r := range v1 {
-		wire.Write(AppendBinary(nil, r))
+	for f, n := range []int{3, 10, 20, 1} {
+		rows := blockRows(n, 100*f)
+		want = append(want, rows...)
+		cb := NewColBatch(blockTypes)
+		for _, r := range rows {
+			cb.AppendRow(r)
+		}
+		wire.Write(AppendColBlock(nil, cb, f%2 == 0))
 	}
-	want = append(want, v1...)
-	var v2enc BlockEncoder
-	v2 := blockRows(10, 100)
-	for _, r := range v2 {
-		v2enc.Append(r)
-	}
-	wire.Write(v2enc.Finish())
-	want = append(want, v2...)
-	types := []Type{TypeInt, TypeFloat, TypeString, TypeBool, TypeString}
-	cb := NewColBatch(types)
-	for _, r := range blockRows(20, 500) {
-		cb.AppendRow(r)
-		want = append(want, r)
-	}
-	wire.Write(AppendColBlock(nil, cb, true))
+	types := blockTypes
 
 	wireLen := int64(wire.Len())
 	rd := NewReader(bytes.NewReader(wire.Bytes()))
@@ -262,8 +269,8 @@ func TestReaderMixedStreamWithV3(t *testing.T) {
 		t.Fatalf("Bytes() = %d, wire had %d", rd.Bytes(), wireLen)
 	}
 
-	// Same stream through ReadColBatch: v1/v2 frames transpose, the v3
-	// frame lands zero-pivot; every frame is fully credited.
+	// Same stream through ReadColBatch: every frame lands zero-pivot and
+	// is fully credited.
 	rd = NewReader(bytes.NewReader(wire.Bytes()))
 	dst := NewColBatch(types)
 	var got []Row
@@ -288,6 +295,43 @@ func TestReaderMixedStreamWithV3(t *testing.T) {
 	if rd.Bytes() != wireLen {
 		t.Fatalf("ReadColBatch Bytes() = %d, wire had %d", rd.Bytes(), wireLen)
 	}
+
+	// Interleaved: a row, the rest of its frame as a ColBatch, a whole
+	// frame of rows, then the last frame as a ColBatch.
+	rd = NewReader(bytes.NewReader(wire.Bytes()))
+	got = got[:0]
+	r, err := rd.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, r)
+	if _, err := rd.ReadColBatch(dst, types); err != nil {
+		t.Fatal(err)
+	}
+	got = dst.Rows(got)
+	if got, err = rd.ReadBlock(got); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := rd.ReadColBatch(dst, types); err != nil {
+			t.Fatal(err)
+		}
+		got = dst.Rows(got)
+	}
+	if _, err := rd.Read(); err != io.EOF {
+		t.Fatalf("interleaved end err = %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("interleaved rows = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("interleaved row %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if rd.Bytes() != wireLen {
+		t.Fatalf("interleaved Bytes() = %d, wire had %d", rd.Bytes(), wireLen)
+	}
 }
 
 // TestReaderV3PartialThenBatch pins the resume-skip interaction: after the
@@ -295,7 +339,7 @@ func TestReaderMixedStreamWithV3(t *testing.T) {
 // the resume handshake), ReadColBatch returns exactly the remaining rows
 // and the frame's bytes are credited once, in full.
 func TestReaderV3PartialThenBatch(t *testing.T) {
-	types := []Type{TypeInt, TypeFloat, TypeString, TypeBool, TypeString}
+	types := blockTypes
 	cb := NewColBatch(types)
 	rows := blockRows(10, 0)
 	for _, r := range rows {
@@ -368,19 +412,15 @@ func TestDecodeColBlockRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzBlockFrame hammers the frame decoders — the v3 columnar parser and
-// the version-dispatching stream reader — with arbitrary bytes: they must
-// return errors on garbage, never panic, and never allocate beyond the
-// frame's own size (the per-encoding size checks run before any vector
-// is grown). Seeds cover valid v2 and v3 frames so mutations explore the
-// interesting neighborhoods.
+// FuzzBlockFrame hammers the frame decoders — the v3 columnar parser,
+// the block decoder, the raw-frame reader of the spill replay, and the
+// stream reader — with arbitrary bytes: they must return errors on
+// garbage, never panic, and never allocate beyond the frame's own size
+// (the per-encoding size checks run before any vector is grown). Seeds
+// cover valid v3 frames and hand-built retired v1/v2 frames, so mutations
+// explore the interesting neighborhoods.
 func FuzzBlockFrame(f *testing.F) {
-	var v2enc BlockEncoder
-	for _, r := range blockRows(8, 0) {
-		v2enc.Append(r)
-	}
-	f.Add(v2enc.Finish())
-	cb := NewColBatch([]Type{TypeInt, TypeFloat, TypeString, TypeBool, TypeString})
+	cb := NewColBatch(blockTypes)
 	for _, r := range blockRows(8, 0) {
 		cb.AppendRow(r)
 	}
@@ -388,14 +428,23 @@ func FuzzBlockFrame(f *testing.F) {
 	f.Add(v3)
 	f.Add(AppendColBlock(nil, cb, false))
 	f.Add(v3[:len(v3)-3])
-	f.Add(AppendBinary(nil, blockRows(1, 0)[0]))
+	f.Add(legacyV1Frame(blockRows(1, 0)[0]))
+	f.Add(legacyV2Frame(blockRows(8, 0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := NewColBatch(nil)
 		_, _ = DecodeColBlock(data, dst)
+		var dec BlockDecoder
+		_, _ = dec.DecodeBatch(data, dst, blockTypes)
 		if len(data) >= 4 {
 			// Bypass the length-word check to reach the tail parser with
 			// arbitrary bytes, as a frame already staged off the wire would.
 			_, _ = decodeColTail(data[4:], dst)
+		}
+		src := bytes.NewReader(data)
+		for {
+			if _, err := ReadRawFrame(src, nil); err != nil {
+				break
+			}
 		}
 		rd := NewReader(bytes.NewReader(data))
 		for {
@@ -404,9 +453,8 @@ func FuzzBlockFrame(f *testing.F) {
 			}
 		}
 		rd = NewReader(bytes.NewReader(data))
-		types := []Type{TypeInt, TypeFloat, TypeString, TypeBool, TypeString}
 		for {
-			if _, err := rd.ReadColBatch(dst, types); err != nil {
+			if _, err := rd.ReadColBatch(dst, blockTypes); err != nil {
 				break
 			}
 		}

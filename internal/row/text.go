@@ -104,6 +104,12 @@ func AppendLine(dst []byte, r Row) []byte {
 // The returned quoted flags report whether each field was quoted (a quoted
 // empty field is the empty string; an unquoted one is NULL).
 func SplitLine(line string) (fields []string, quoted []bool, err error) {
+	return splitLine(line, nil, nil)
+}
+
+// splitLine is SplitLine appending to caller-provided slices, so a caller
+// with scratch space splits without allocating them.
+func splitLine(line string, fields []string, quoted []bool) ([]string, []bool, error) {
 	i := 0
 	for {
 		if i >= len(line) {
@@ -171,7 +177,11 @@ func SplitLine(line string) (fields []string, quoted []bool, err error) {
 
 // DecodeLine parses one text-format line into a row conforming to schema.
 func DecodeLine(line string, s Schema) (Row, error) {
-	fields, quoted, err := SplitLine(line)
+	// Scratch for the split: the decoded row is the only allocation a line
+	// of up to 16 unquoted fields needs.
+	var fieldBuf [16]string
+	var quotedBuf [16]bool
+	fields, quoted, err := splitLine(line, fieldBuf[:0], quotedBuf[:0])
 	if err != nil {
 		return nil, err
 	}

@@ -1,52 +1,24 @@
 package stream
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sqlml/internal/hadoopfmt"
 	"sqlml/internal/ml"
 	"sqlml/internal/row"
 )
-
-// TestMixedVersionHandshakeReaderPinsV1 covers the wire-format negotiation:
-// one reader that only speaks the v1 per-row protocol pins the whole job to
-// it — the sender falls back to one frame per row, and delivery still
-// completes exactly-once.
-func TestMixedVersionHandshakeReaderPinsV1(t *testing.T) {
-	env := newTransferEnv(t)
-	f := &InputFormat{CoordAddr: env.coordAddr, Job: "jv1reader", Proto: row.WireProtoRow}
-	d, stats := env.runTransfer(t, "jv1reader", 2, 1, 150, f, DefaultSenderConfig())
-	checkExactlyOnce(t, d, 2, 150)
-	for _, s := range stats {
-		if s.FramesSent != s.RowsSent {
-			t.Errorf("v1-pinned job sent %d frames for %d rows; want one frame per row",
-				s.FramesSent, s.RowsSent)
-		}
-	}
-}
-
-// TestMixedVersionHandshakeSenderPinsV1 is the other direction: a sender
-// configured for the v1 protocol ignores the coordinator's block offer, and
-// the (block-capable) reader decodes the per-row stream fine.
-func TestMixedVersionHandshakeSenderPinsV1(t *testing.T) {
-	env := newTransferEnv(t)
-	f := &InputFormat{CoordAddr: env.coordAddr, Job: "jv1sender"}
-	cfg := DefaultSenderConfig()
-	cfg.Proto = row.WireProtoRow
-	d, stats := env.runTransfer(t, "jv1sender", 2, 1, 150, f, cfg)
-	checkExactlyOnce(t, d, 2, 150)
-	for _, s := range stats {
-		if s.FramesSent != s.RowsSent {
-			t.Errorf("v1 sender sent %d frames for %d rows; want one frame per row",
-				s.FramesSent, s.RowsSent)
-		}
-	}
-}
 
 // ingestFingerprint canonicalizes a dataset for cross-run comparison:
 // sorted (label, features) lines, independent of partition order.
@@ -60,54 +32,120 @@ func ingestFingerprint(d *ml.Dataset) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestMixedVersionMatrix exercises every sender×reader protocol
-// combination. Each job must pin to min(proto): a v1 peer on either side
-// forces per-row frames, v2×v3 degrades to v2 blocks, and only v3×v3
-// gets columnar compression (raw_bytes > wire_bytes). The ingested
-// dataset must be identical in all nine combos.
-func TestMixedVersionMatrix(t *testing.T) {
+// TestV3TransferExactlyOnce runs the transfer with compression on and
+// off. Both must deliver every row exactly once into the same dataset,
+// with blocks coalescing rows. The raw-vs-wire accounting must read a
+// ratio above 1 when the per-column encodings bite, and exactly 1 with
+// DisableCompression, where every frame is its own raw size.
+func TestV3TransferExactlyOnce(t *testing.T) {
 	env := newTransferEnv(t)
-	protos := []int{row.WireProtoRow, row.WireProtoBlock, row.WireProtoCol}
 	var want string
-	for _, sp := range protos {
-		for _, rp := range protos {
-			job := fmt.Sprintf("jmatrix-s%d-r%d", sp, rp)
-			f := &InputFormat{CoordAddr: env.coordAddr, Job: job, Proto: rp}
-			cfg := DefaultSenderConfig()
-			cfg.Proto = sp
-			d, stats := env.runTransfer(t, job, 2, 2, 120, f, cfg)
-			checkExactlyOnce(t, d, 2, 120)
-			fp := ingestFingerprint(d)
-			if want == "" {
-				want = fp
-			} else if fp != want {
-				t.Errorf("sender v%d × reader v%d: ingested dataset differs from the v1×v1 run", sp, rp)
+	for _, noCompress := range []bool{false, true} {
+		job := fmt.Sprintf("jv3-nocompress-%v", noCompress)
+		f := &InputFormat{CoordAddr: env.coordAddr, Job: job}
+		cfg := DefaultSenderConfig()
+		cfg.DisableCompression = noCompress
+		d, stats := env.runTransfer(t, job, 2, 2, 120, f, cfg)
+		checkExactlyOnce(t, d, 2, 120)
+		fp := ingestFingerprint(d)
+		if want == "" {
+			want = fp
+		} else if fp != want {
+			t.Errorf("DisableCompression=%v: ingested dataset differs from the compressed run", noCompress)
+		}
+		for _, s := range stats {
+			if s.FramesSent >= s.RowsSent {
+				t.Errorf("DisableCompression=%v: %d frames for %d rows; blocks should coalesce",
+					noCompress, s.FramesSent, s.RowsSent)
 			}
-			min := sp
-			if rp < min {
-				min = rp
+			if noCompress && s.RawBytes != s.WireBytes {
+				t.Errorf("uncompressed: raw %d ≠ wire %d; a raw frame is its own raw size", s.RawBytes, s.WireBytes)
 			}
-			for _, s := range stats {
-				if min == row.WireProtoRow {
-					if s.FramesSent != s.RowsSent {
-						t.Errorf("sender v%d × reader v%d: %d frames for %d rows; a v1 peer must pin to one frame per row",
-							sp, rp, s.FramesSent, s.RowsSent)
-					}
-				} else if s.FramesSent >= s.RowsSent {
-					t.Errorf("sender v%d × reader v%d: %d frames for %d rows; blocks should coalesce",
-						sp, rp, s.FramesSent, s.RowsSent)
-				}
-				if min >= row.WireProtoCol {
-					if s.RawBytes <= s.WireBytes {
-						t.Errorf("sender v%d × reader v%d: raw %d ≤ wire %d; v3 compression absent",
-							sp, rp, s.RawBytes, s.WireBytes)
-					}
-				} else if s.RawBytes != s.WireBytes {
-					t.Errorf("sender v%d × reader v%d: raw %d ≠ wire %d; pre-v3 frames are the raw encoding",
-						sp, rp, s.RawBytes, s.WireBytes)
-				}
+			if !noCompress && s.RawBytes <= s.WireBytes {
+				t.Errorf("compressed: raw %d ≤ wire %d; per-column compression absent", s.RawBytes, s.WireBytes)
 			}
 		}
+	}
+}
+
+// failingSpill wraps a spill file whose reads fail once left bytes have
+// been read — a disk error in the middle of the spill replay.
+type failingSpill struct {
+	*os.File
+	left int
+}
+
+var errSpillRead = errors.New("spill read failed")
+
+func (f *failingSpill) Read(p []byte) (int, error) {
+	if f.left <= 0 {
+		return 0, errSpillRead
+	}
+	if len(p) > f.left {
+		p = p[:f.left]
+	}
+	n, err := f.File.Read(p)
+	f.left -= n
+	return n, err
+}
+
+// TestSpillReplayReadErrorFailsChannel pins that a spill file failing
+// mid-replay fails the channel: the frames before the failure reach the
+// reader, but the end-of-stream frame must not follow them, or the reader
+// would commit a split missing every spilled frame after the error.
+func TestSpillReplayReadErrorFailsChannel(t *testing.T) {
+	local, remote := net.Pipe()
+	cfg := DefaultSenderConfig()
+	cfg.BufferSize = 64 // flush each frame as it is replayed
+	cfg.SpillWait = time.Millisecond
+	cfg.SpillDir = t.TempDir()
+	cfg.DialTimeout = 200 * time.Millisecond
+	tc := &targetChannel{
+		conn:    local,
+		w:       bufio.NewWriterSize(local, cfg.BufferSize),
+		queue:   make(chan []byte), // no writer yet: every enqueue spills
+		done:    make(chan error, 1),
+		credits: make(chan int, 1024),
+		acks:    make(chan error, 1),
+		cfg:     cfg,
+	}
+	types := row.SchemaTypes(streamSchema())
+	var frames [][]byte
+	for f := 0; f < 3; f++ {
+		var enc row.BlockEncoder
+		enc.EnableColumnar(types, true)
+		for _, r := range genRows(f, 40) {
+			enc.Append(r)
+		}
+		frame := enc.Finish()
+		frames = append(frames, frame)
+		if err := tc.enqueue(frame, 40, int64(len(frame))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tc.spilledBytes == 0 {
+		t.Fatal("frames were not spilled")
+	}
+	tc.spill = &failingSpill{File: tc.spill.(*os.File), left: len(frames[0])}
+
+	received := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(remote)
+		received <- b
+	}()
+	go tc.writeLoop()
+	close(tc.queue)
+	err := <-tc.done
+	if cerr := tc.cleanup(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if !errors.Is(err, errSpillRead) {
+		t.Fatalf("channel outcome = %v, want the spill read error", err)
+	}
+	got := <-received
+	if !bytes.Equal(got, frames[0]) {
+		t.Fatalf("reader received %d bytes, want exactly the first frame (%d bytes) and no end-of-stream frame",
+			len(got), len(frames[0]))
 	}
 }
 

@@ -34,8 +34,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"sqlml/internal/row"
 )
 
 // JobSpec is what a launcher receives when all SQL workers of a job have
@@ -96,12 +94,6 @@ type message struct {
 	// register_ml replies (see Target.Epoch).
 	Epoch uint32 `json:"epoch,omitempty"`
 
-	// Proto is the wire-format version the registering peer supports
-	// (row.WireProtoRow or row.WireProtoBlock; absent means the pre-block
-	// v1 protocol). In the matches reply it carries the job's negotiated
-	// version: the minimum over every registered sender and reader.
-	Proto int `json:"proto,omitempty"`
-
 	// splits / matches replies
 	Splits  []SplitInfo `json:"splits,omitempty"`
 	Targets []Target    `json:"targets,omitempty"`
@@ -112,12 +104,6 @@ type message struct {
 type jobState struct {
 	spec     JobSpec
 	launched bool
-
-	// proto is the job's negotiated wire-format version: the minimum
-	// advertised across every register_sql and register_ml seen so far
-	// (0 until the first registration; a peer that sends no version is a
-	// pre-block v1 speaker and pins the job to per-row frames).
-	proto int
 
 	// sqlWaiters[w] is the connection a registered SQL worker w is parked
 	// on, awaiting its matches message.
@@ -402,7 +388,6 @@ func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.E
 	js.dispatched[msg.Worker] = false
 	js.sqlConns[msg.Worker] = conn
 	js.lastBeat[msg.Worker] = time.Now()
-	js.noteProto(msg.Proto)
 	if isRestart {
 		js.restarts++
 		// §6 restart: the worker re-parks for a fresh matches message. ML
@@ -450,17 +435,6 @@ func (c *Coordinator) handleRegisterSQL(msg *message, conn net.Conn, enc *json.E
 		delete(js.sqlConns, msg.Worker)
 	}
 	c.mu.Unlock()
-}
-
-// noteProto folds one peer's advertised wire-format version into the
-// job's negotiated minimum. Callers hold c.mu.
-func (js *jobState) noteProto(p int) {
-	if p <= 0 {
-		p = row.WireProtoRow // pre-versioning peer
-	}
-	if js.proto == 0 || p < js.proto {
-		js.proto = p
-	}
 }
 
 // handleGetSplits implements step 3: it answers once all SQL workers have
@@ -523,7 +497,6 @@ func (c *Coordinator) handleRegisterML(msg *message, enc *json.Encoder) {
 	js.mlEpochs[msg.Split]++
 	epoch := js.mlEpochs[msg.Split]
 	js.mlRegs[msg.Split] = Target{Split: msg.Split, Listen: msg.Listen, Addr: msg.Addr, Epoch: epoch}
-	js.noteProto(msg.Proto)
 	k := js.spec.SplitsPer
 	worker := msg.Split / k
 	// A fresh ML registration re-arms dispatch for its group (restart).
@@ -579,10 +552,9 @@ func (c *Coordinator) tryDispatch(job string, worker int) {
 		targets = append(targets, t)
 	}
 	js.dispatched[worker] = true
-	proto := js.proto
 	c.mu.Unlock()
 
-	if err := enc.Encode(message{Type: "matches", Targets: targets, Proto: proto}); err != nil {
+	if err := enc.Encode(message{Type: "matches", Targets: targets}); err != nil {
 		log.Printf("stream: coordinator: dispatch to sql worker %d failed: %v", worker, err)
 	}
 	c.logf("matched sql worker %d of job %s with %d ml workers", worker, job, len(targets))

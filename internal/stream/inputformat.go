@@ -45,11 +45,6 @@ type InputFormat struct {
 	// the reader fail abruptly (no ACK), simulating an ML worker crash for
 	// the §6 restart tests.
 	Inject func(split, rowsRead int) bool
-	// Proto caps the wire-format version this reader advertises to the
-	// coordinator (0 means latest). Setting row.WireProtoRow simulates a
-	// pre-block reader: the handshake then pins the whole job to per-row
-	// v1 frames.
-	Proto int
 
 	mu      sync.Mutex
 	fetched bool
@@ -221,12 +216,8 @@ func (f *InputFormat) registerML(split int, listen, nodeAddr string) (_ uint32, 
 			err = cerr
 		}
 	}()
-	proto := f.Proto
-	if proto <= 0 {
-		proto = row.WireProtoLatest
-	}
 	if err := json.NewEncoder(conn).Encode(message{
-		Type: "register_ml", Job: f.Job, Split: split, Listen: listen, Addr: nodeAddr, Proto: proto,
+		Type: "register_ml", Job: f.Job, Split: split, Listen: listen, Addr: nodeAddr,
 	}); err != nil {
 		return 0, err
 	}
@@ -270,9 +261,8 @@ type streamReader struct {
 	closed     bool
 }
 
-// Next implements hadoopfmt.RecordReader. The frame reader underneath is
-// block-aware: one wire read stages a whole block, and Next serves rows
-// out of it without further I/O or re-allocation.
+// Next implements hadoopfmt.RecordReader. One wire read stages a whole
+// block frame, and Next serves rows out of it without further I/O.
 func (r *streamReader) Next() (row.Row, bool, error) {
 	if r.done || r.failed {
 		return nil, false, nil
@@ -301,9 +291,8 @@ func (r *streamReader) Next() (row.Row, bool, error) {
 }
 
 // NextBatch implements hadoopfmt.BatchRecordReader: it serves one wire
-// frame's rows per call — the whole decoded block, or a single row from a
-// v1 frame — so batch-aware consumers amortize per-row call overhead on
-// top of the amortized I/O.
+// frame's rows per call, so batch-aware consumers amortize per-row call
+// overhead on top of the amortized I/O.
 func (r *streamReader) NextBatch(buf []row.Row) ([]row.Row, bool, error) {
 	if r.done || r.failed {
 		return nil, false, nil
@@ -338,10 +327,9 @@ func (r *streamReader) NextBatch(buf []row.Row) ([]row.Row, bool, error) {
 }
 
 // NextColBatch implements hadoopfmt.ColBatchRecordReader: one wire frame
-// per call, materialized straight into dst. A v3 columnar frame lands
-// without ever forming a row — the zero-pivot path the sender's columnar
-// encoder exists for — while v1/v2 frames (mixed-version jobs, resumed
-// streams mid-frame) transpose through rows exactly once, here.
+// per call, decoded straight into dst without ever forming a row — the
+// zero-pivot path the sender's columnar encoder exists for. Only the
+// remainder of a frame the resume handshake partly skipped is copied.
 func (r *streamReader) NextColBatch(dst *row.ColBatch) (int, bool, error) {
 	if r.done || r.failed {
 		return 0, false, nil

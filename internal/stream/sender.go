@@ -28,18 +28,11 @@ type SenderConfig struct {
 	// O(blocks), not O(rows), of sender memory.
 	QueueFrames int
 	// BlockRows and BlockBytes bound one block frame: the sender flushes a
-	// slot's block when it reaches BlockRows rows or BlockBytes encoded
-	// bytes (and at end of stream). They default to the engine's batch
-	// granularity (~1024 rows / ~64 KB).
+	// slot's block when it reaches BlockRows rows or BlockBytes
+	// uncompressed bytes (and at end of stream). They default to the
+	// engine's batch granularity (~1024 rows / ~64 KB).
 	BlockRows  int
 	BlockBytes int
-	// Proto pins the wire-format version this sender offers during the
-	// coordinator handshake: row.WireProtoRow for one-frame-per-row (what
-	// pre-block senders speak), row.WireProtoBlock for multi-row block
-	// frames. 0 means latest. The coordinator negotiates the minimum
-	// across a job's senders and readers, so mixed-version deployments
-	// degrade to v1 instead of breaking.
-	Proto int
 	// SpillWait is how long a full queue may block the producer before it
 	// spills to disk; a fast consumer frees buffer space well within it.
 	SpillWait time.Duration
@@ -108,18 +101,17 @@ type SenderStats struct {
 	BytesSent    int64
 	SpilledBytes int64
 	Restarts     int
-	// FramesSent counts wire frames; with block framing it is the number
-	// of blocks, so FramesSent ≪ RowsSent is the observable signature of
-	// coalescing (FramesSent == RowsSent means the v1 per-row protocol).
+	// FramesSent counts wire frames, one per block, so FramesSent ≪
+	// RowsSent is the observable signature of coalescing.
 	FramesSent int64
 	// Reconnects counts per-target reconnections that resumed from the
 	// spool without a §6 group restart: Reconnects > 0 with Restarts == 0
 	// is the signature of partial-failure recovery.
 	Reconnects int
-	// RawBytes is what the delivered rows would have cost in the v2 row
-	// encoding; WireBytes is what the negotiated frames actually cost.
-	// RawBytes/WireBytes is the observable compression ratio — 1.0 on
-	// v1/v2 jobs, above 1.0 when v3's per-column encodings bite.
+	// RawBytes is what the delivered frames would have cost with every
+	// column raw (uncompressed v3); WireBytes is what they cost as sent.
+	// RawBytes/WireBytes is the observable compression ratio: 1.0 with
+	// DisableCompression, above 1.0 when the per-column encodings bite.
 	RawBytes  int64
 	WireBytes int64
 }
@@ -225,9 +217,9 @@ type SendRequest struct {
 	Config     SenderConfig
 }
 
-// spooledBlock is one §6 replay spool entry: an encoded wire frame (a
-// block, or a single v1 row frame) plus its row count and v2-equivalent
-// raw size, so retry attempts resend and account it without re-decoding.
+// spooledBlock is one §6 replay spool entry: an encoded block frame plus
+// its row count and uncompressed size, so retry attempts resend and
+// account it without re-decoding.
 type spooledBlock struct {
 	frame []byte
 	rows  int64
@@ -284,9 +276,6 @@ func Send(req SendRequest) (*SenderStats, error) {
 	}
 	if cfg.BlockBytes <= 0 {
 		cfg.BlockBytes = DefaultSenderConfig().BlockBytes
-	}
-	if cfg.Proto <= 0 {
-		cfg.Proto = row.WireProtoLatest
 	}
 	if cfg.ReconnectBudget == 0 {
 		cfg.ReconnectBudget = DefaultSenderConfig().ReconnectBudget
@@ -349,7 +338,6 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 		Command:    req.Command,
 		Args:       req.Args,
 		K:          req.K,
-		Proto:      cfg.Proto,
 	}); err != nil {
 		return false, fmt.Errorf("stream: register: %w", err)
 	}
@@ -392,16 +380,6 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 	targets := reply.Targets
 	if len(targets) == 0 {
 		return false, fmt.Errorf("stream: empty match set")
-	}
-	// The coordinator replies with the job's negotiated wire protocol: the
-	// minimum across every registered sender and reader, so one v1 peer
-	// pins the whole job to per-row frames.
-	proto := reply.Proto
-	if proto <= 0 {
-		proto = row.WireProtoRow
-	}
-	if proto > cfg.Proto {
-		proto = cfg.Proto
 	}
 
 	// Slot j of this worker is split worker*k + j; rows are assigned
@@ -450,7 +428,7 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 		if src.input != nil && src.spool != nil {
 			// The upstream pipeline is one-shot: drain it into the spool now
 			// so the retry attempt has the rows.
-			if err := src.consumeInput(k, nil, cfg, proto, row.SchemaTypes(req.Schema)); err != nil {
+			if err := src.consumeInput(k, nil, cfg, row.SchemaTypes(req.Schema)); err != nil {
 				return false, &fatalError{err}
 			}
 		}
@@ -460,11 +438,9 @@ func sendOnce(req SendRequest, cfg SenderConfig, stats *SenderStats, completed m
 	// Step 8: round-robin the partition across the slots, sending only the
 	// incomplete ones. The first attempt streams the input as it is
 	// produced; retries resend unconfirmed slots from the spool, one
-	// enqueue per block. Spooled frames keep whatever encoding the attempt
-	// that built them negotiated — both framings stay decodable on every
-	// reader, so a renegotiated retry never re-encodes.
+	// enqueue per block, without re-encoding.
 	if src.input != nil {
-		if err := src.consumeInput(k, chans, cfg, proto, row.SchemaTypes(req.Schema)); err != nil {
+		if err := src.consumeInput(k, chans, cfg, row.SchemaTypes(req.Schema)); err != nil {
 			// The pipeline feeding the sender failed: unsent rows are gone,
 			// no restart can recover them.
 			closeAll(chans)
@@ -659,14 +635,13 @@ func getTarget(coordAddr string, timeout time.Duration, job string, split int) (
 }
 
 // consumeInput drains the streaming input exactly once, packing each
-// slot's rows into block frames built on pooled buffers (or per-row v1
-// frames when the job negotiated down), spooling each finished block
-// (when replay is enabled) and fanning it out to the live channels (chans
-// is nil when a dial failure means this attempt only spools). A slot's
-// block flushes on the row/byte budget and at end of stream, so channel
-// operations, spool entries, and wire writes are O(blocks), not O(rows).
-// The input is consumed afterwards.
-func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfig, proto int, types []row.Type) error {
+// slot's rows into block frames built on pooled buffers, spooling each
+// finished block (when replay is enabled) and fanning it out to the live
+// channels (chans is nil when a dial failure means this attempt only
+// spools). A slot's block flushes on the row/byte budget and at end of
+// stream, so channel operations, spool entries, and wire writes are
+// O(blocks), not O(rows). The input is consumed afterwards.
+func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfig, types []row.Type) error {
 	in := s.input
 	s.input = nil
 	flush := func(j int, frame []byte, rows, raw int64) error {
@@ -693,101 +668,74 @@ func (s *sendSource) consumeInput(k int, chans []*targetChannel, cfg SenderConfi
 		}
 		return nil
 	}
+	// Every slot's encoder stages column-major and Finish emits a columnar
+	// frame with per-column encodings, whether the rows arrive through a
+	// batch cursor or a row iterator — a UDF pipe upstream must not cost
+	// the wire its compression.
 	encoders := make([]row.BlockEncoder, k)
-	if proto >= row.WireProtoCol {
-		// v3: every slot's encoder stages column-major and Finish emits a
-		// columnar frame with per-column encodings, regardless of whether
-		// the rows arrive through a batch cursor or a row iterator — a UDF
-		// pipe upstream must not cost the wire its compression. Len()
-		// reports the v2-equivalent size in this mode, so the flush budget
-		// (and the spill/queue behavior behind it) is unchanged.
-		for j := range encoders {
-			encoders[j].EnableColumnar(types, !cfg.DisableCompression)
-		}
+	for j := range encoders {
+		encoders[j].EnableColumnar(types, !cfg.DisableCompression)
 	}
-	colMode := proto >= row.WireProtoCol
 	finish := func(j int) error {
 		enc := &encoders[j]
-		rows, raw := int64(enc.Rows()), int64(enc.Len())
-		frame := enc.Finish()
-		if !colMode && frame != nil {
-			// v1/v2 frames are the raw encoding: ratio 1.0 by definition.
-			raw = int64(len(frame))
-		}
-		return flush(j, frame, rows, raw)
+		rows, raw := int64(enc.Rows()), int64(enc.RawBytes())
+		return flush(j, enc.Finish(), rows, raw)
+	}
+	full := func(enc *row.BlockEncoder) bool {
+		return enc.Rows() >= cfg.BlockRows || enc.Len() >= cfg.BlockBytes
 	}
 	i := 0
 	// Columnar fast path: when the input is a thin cursor over the engine's
-	// columnar pipeline, encode wire frames straight from the batch's
-	// vectors — same round-robin slot assignment, same flush budget, and
-	// AppendBatchRow is value-identical to Append, so the decoded stream
-	// cannot differ from the row path. With one target and v3 frames the
-	// whole batch appends vector-at-a-time: no per-row step at all.
-	if proto >= row.WireProtoBlock {
-		if cb, ok := sqlengine.AsColBatchSource(in); ok {
-			for {
-				b, ok, err := cb.NextColBatch()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				n := b.Len()
-				if k == 1 && proto >= row.WireProtoCol {
-					enc := &encoders[0]
-					enc.AppendBatch(b)
-					i += n
-					if enc.Rows() >= cfg.BlockRows || enc.Len() >= cfg.BlockBytes {
-						if err := finish(0); err != nil {
-							return err
-						}
+	// columnar pipeline, stage rows straight from the batch's vectors —
+	// same round-robin slot assignment, same flush budget. With one target
+	// the whole batch appends vector-at-a-time: no per-row step at all.
+	if cb, ok := sqlengine.AsColBatchSource(in); ok {
+		for {
+			b, ok, err := cb.NextColBatch()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			n := b.Len()
+			if k == 1 {
+				encoders[0].AppendBatch(b)
+				i += n
+				if full(&encoders[0]) {
+					if err := finish(0); err != nil {
+						return err
 					}
-					continue
 				}
-				for si := 0; si < n; si++ {
-					j := i % k
-					i++
-					enc := &encoders[j]
-					enc.AppendBatchRow(b, b.SelPos(si))
-					if enc.Rows() >= cfg.BlockRows || enc.Len() >= cfg.BlockBytes {
-						if err := finish(j); err != nil {
-							return err
-						}
+				continue
+			}
+			for si := 0; si < n; si++ {
+				j := i % k
+				i++
+				encoders[j].AppendBatchRow(b, b.SelPos(si))
+				if full(&encoders[j]) {
+					if err := finish(j); err != nil {
+						return err
 					}
 				}
 			}
-			for j := range encoders {
+		}
+	} else {
+		for {
+			r, ok, err := in.Next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			j := i % k
+			i++
+			encoders[j].Append(r)
+			if full(&encoders[j]) {
 				if err := finish(j); err != nil {
 					return err
 				}
-			}
-			return nil
-		}
-	}
-	for {
-		r, ok, err := in.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		j := i % k
-		i++
-		if proto < row.WireProtoBlock {
-			// v1 fallback: one frame per row, exactly the old wire format.
-			f := row.AppendBinary(nil, r)
-			if err := flush(j, f, 1, int64(len(f))); err != nil {
-				return err
-			}
-			continue
-		}
-		enc := &encoders[j]
-		enc.Append(r)
-		if enc.Rows() >= cfg.BlockRows || enc.Len() >= cfg.BlockBytes {
-			if err := finish(j); err != nil {
-				return err
 			}
 		}
 	}
@@ -837,7 +785,7 @@ type targetChannel struct {
 	credits chan int
 	acks    chan error
 
-	spill        *os.File
+	spill        spillFile
 	spillTimer   *time.Timer
 	spilledBytes int64
 	rows         int64
@@ -852,6 +800,14 @@ type targetChannel struct {
 	// spill file). With replay enabled the spool owns the frames and they
 	// must never be recycled mid-transfer.
 	recycle bool
+}
+
+// spillFile is the channel's overflow spool on local disk (an *os.File):
+// spilled frames are appended, then replayed from the start.
+type spillFile interface {
+	io.ReadWriteSeeker
+	io.Closer
+	Name() string
 }
 
 // resumeMagic opens the reader→sender resume header on every data

@@ -1,14 +1,14 @@
 #!/bin/sh
-# Runs the wire-protocol ablation grid (BenchmarkAblationBlockSize: the v1
-# per-row frames, the v2 block sweep, and the v2-vs-v3 × compression
-# on/off wire-format variants) and dumps the results as JSON.
+# Runs the wire-protocol ablation grid (BenchmarkAblationBlockSize: the
+# rows-per-block sweep and the compression on/off pair of the columnar
+# frame) and dumps the results as JSON.
 #
 #   scripts/bench_wire.sh [output.json]
 #
 # Each variant runs 5 iterations (-benchtime 5x) five times (-count=5)
 # and the JSON records the per-metric MEDIAN of the five samples — the
 # steady-state protocol of bench_hotpath.sh. The numbers this file tracks
-# across PRs: wire-B/op vs raw-B/op (the columnar compression ratio),
+# across changes: wire-B/op vs raw-B/op (the columnar compression ratio),
 # frames/op (coalescing), and allocs/op on the transfer path.
 set -eu
 
